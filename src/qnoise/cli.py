@@ -15,6 +15,7 @@ printed at full precision so re-parsing reproduces them exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -41,6 +42,14 @@ PRESETS = {
     "two-molecule": presets.two_molecule_model,
 }
 
+# Every key some subcommand reads; anything else is a misspelling.
+SECTION_KEYS = {
+    "run": {"dt", "n_steps", "n_realizations", "seed", "mode", "m_nodes", "trotter",
+            "observables", "initial_state", "record_rho", "threads", "chunk_size"},
+    "experiment": {"gamma_dt_values", "dt_values", "compose", "m_nodes", "total_time",
+                   "n_r_values", "repetitions", "trotter_order", "eps_target"},
+}
+
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -55,7 +64,20 @@ def _load_config(path: str) -> dict:
         raise SystemExit(f"error: {path}: invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise SystemExit(f"error: {path}: config must be a JSON object")
+    for section, allowed in SECTION_KEYS.items():
+        spec = doc.get(section, {})
+        if not isinstance(spec, dict):
+            raise SystemExit(f"error: {section}: section must be an object")
+        for key in spec:
+            if key not in allowed:
+                raise SystemExit(f"error: {section}.{key}: unknown field")
     return doc
+
+
+def _require(run: dict, *keys: str) -> None:
+    for key in keys:
+        if key not in run:
+            raise SystemExit(f"error: run.{key}: field missing")
 
 
 def _build_model(doc: dict) -> LindbladModel:
@@ -123,12 +145,8 @@ def _parse_observable(entry: dict, n: int, path: str) -> tuple[str, np.ndarray]:
 
 
 def _build_run_config(doc: dict, model: LindbladModel, args) -> RunConfig:
-    run = doc.get("run")
-    if not isinstance(run, dict):
-        raise SystemExit("error: run: section missing or not an object")
-    for key in ("dt", "n_steps"):
-        if key not in run:
-            raise SystemExit(f"error: run.{key}: field missing")
+    run = doc.get("run", {})
+    _require(run, "dt", "n_steps")
     observables = [
         _parse_observable(entry, model.n, f"run.observables[{i}]")
         for i, entry in enumerate(run.get("observables", []))
@@ -189,9 +207,7 @@ def cmd_simulate(doc: dict, args) -> int:
     (out / "result.csv").write_text("\n".join(rows) + "\n")
 
     if config.record_rho:
-        dump = [
-            _matrix_to_json(result.rho_mean[j]) for j in range(len(result.times))
-        ]
+        dump = [_matrix_to_json(rho) for rho in result.rho_mean]
         (out / "rho_steps.json").write_text(json.dumps(dump))
 
     _write_gnuplot(
@@ -207,9 +223,8 @@ def cmd_simulate(doc: dict, args) -> int:
 
     print(f"ensemble: N_r={result.n_realizations}, mode={result.mode}, seed={result.master_seed}")
     for i, label in enumerate(result.observable_labels):
-        print(
-            f"  <{label}>(T) = {result.means[i, -1]:.6f} +/- {result.stderrs[i, -1]:.6f}"
-        )
+        print(f"  <{label}>(T) = {result.means[i, -1]:.6f} +/- {result.stderrs[i, -1]:.6f}")
+    print(f"  ancilla flip rate = {result.flip_fraction.mean():.6f} per step")
     print(f"wrote {out / 'result.csv'}")
     return 0
 
@@ -256,25 +271,20 @@ def cmd_sweep_dt(doc: dict, args) -> int:
     rows = ["gamma_dt,T_qn,T_sa,bound_qn"]
     gdts, t_qns, t_sas = [], [], []
     for dt in dts:
-        if compose == "per-step":
-            n_step = 1
-            ref = oracle.evolve_exact(model, rho0, dt)
-            rho_qn = expected_channel(model, dt, trotter, m_nodes)(rho0)
-            rho_sa = oracle.step_sa(model, rho0, dt)
-        else:
+        n_step = 1
+        if compose == "total-time":
             total_t = float(exp.get("total_time", run.get("dt", dt) * run.get("n_steps", 1)))
             n_step = max(1, round(total_t / dt))
             if abs(n_step * dt - total_t) > 1e-9 * max(total_t, dt):
                 warnings.warn(
                     f"total time {total_t} not divisible by dt {dt}; using N_step={n_step}"
                 )
-            ref = oracle.evolve_exact(model, rho0, n_step * dt)
-            channel = expected_channel(model, dt, trotter, m_nodes)
-            rho_qn = rho0
-            rho_sa = rho0
-            for _ in range(n_step):
-                rho_qn = channel(rho_qn)
-                rho_sa = oracle.step_sa(model, rho_sa, dt)
+        ref = oracle.evolve_exact(model, rho0, n_step * dt)
+        channel = expected_channel(model, dt, trotter, m_nodes)
+        rho_qn = rho_sa = rho0
+        for _ in range(n_step):
+            rho_qn = channel(rho_qn)
+            rho_sa = oracle.step_sa(model, rho_sa, dt)
         t_qn = linalg.trace_distance(rho_qn, ref)
         t_sa = linalg.trace_distance(rho_sa, ref)
         inputs = bounds_mod.BoundInputs.from_model(
@@ -333,19 +343,12 @@ def cmd_sampling_error(doc: dict, args) -> int:
     for n_r in n_r_values:
         etas = []
         for rep in range(repetitions):
-            cfg = RunConfig(
-                model=model,
-                dt=config.dt,
-                n_steps=config.n_steps,
+            cfg = dataclasses.replace(
+                config,
                 n_realizations=n_r,
                 master_seed=trajectory_seed(config.master_seed, rep, 2 + n_r),
-                mode=config.mode,
-                m_nodes=config.m_nodes,
-                trotter=config.trotter,
                 observables=[(label, op)],
-                initial_state=config.initial_state,
-                threads=config.threads,
-                chunk_size=config.chunk_size,
+                record_rho=False,
             )
             result = run_ensemble(cfg)
             etas.append(abs(result.means[0, -1] - exact_val))
@@ -353,9 +356,7 @@ def cmd_sampling_error(doc: dict, args) -> int:
         etas_by_nr.append(etas)
         rows.append(f"{n_r},{_fmt(etas.mean())},{_fmt(etas.std(ddof=1) if len(etas) > 1 else 0.0)}")
 
-    slope = _fit_slope(
-        np.array(n_r_values, dtype=float), np.array([e.mean() for e in etas_by_nr])
-    )
+    slope = _fit_slope(np.array(n_r_values, float), np.array([e.mean() for e in etas_by_nr]))
     rows.append(f"# fitted log-log slope of eta_mean vs n_r: {_fmt(slope)}")
 
     out = _out_dir(args)
@@ -385,15 +386,12 @@ def cmd_bounds(doc: dict, args) -> int:
     model = _build_model(doc)
     run = doc.get("run", {})
     exp = doc.get("experiment", {})
-    dt = float(run.get("dt", 1.0))
-    n_steps = int(run.get("n_steps", 1))
+    _require(run, "dt", "n_steps")
+    dt, n_steps = float(run["dt"]), int(run["n_steps"])
     trotter = run.get("trotter", "exact")
     inputs = bounds_mod.BoundInputs.from_model(
-        model,
-        dt,
-        n_steps,
-        trotter_order=int(exp.get("trotter_order", 1)),
-        exact_unitary=(trotter == "exact"),
+        model, dt, n_steps,
+        trotter_order=int(exp.get("trotter_order", 1)), exact_unitary=(trotter == "exact"),
     )
     target = exp.get("eps_target")
     report = bounds_mod.bound_report(inputs, float(target) if target is not None else None)
@@ -413,8 +411,10 @@ def main(argv=None) -> int:
         prog="qnoise",
         description="Single-ancilla stochastic-gate simulator for Lindblad dynamics",
     )
+    commands = {"simulate": cmd_simulate, "sweep-dt": cmd_sweep_dt,
+                "sampling-error": cmd_sampling_error, "bounds": cmd_bounds}
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "sweep-dt", "sampling-error", "bounds"):
+    for name in commands:
         p = sub.add_parser(name)
         p.add_argument("config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
@@ -423,12 +423,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     doc = _load_config(args.config)
-    commands = {
-        "simulate": cmd_simulate,
-        "sweep-dt": cmd_sweep_dt,
-        "sampling-error": cmd_sampling_error,
-        "bounds": cmd_bounds,
-    }
     return commands[args.command](doc, args)
 
 

@@ -16,7 +16,7 @@ result is bit-identical for any worker-pool size.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -298,20 +298,8 @@ def run_trajectory(config: RunConfig, realization_index: int) -> np.ndarray:
     """Per-step system density matrices of one realization, shape (n_steps+1, d, d)."""
     plan = build_plan(config.model, config.dt, config.trotter, config.m_nodes)
     d = config.model.dim
-    single = RunConfig(
-        model=config.model,
-        dt=config.dt,
-        n_steps=config.n_steps,
-        n_realizations=1,
-        master_seed=config.master_seed,
-        mode=config.mode,
-        m_nodes=config.m_nodes,
-        trotter=config.trotter,
-        observables=(),
-        initial_state=config.initial_state,
-        record_rho=True,
-        threads=1,
-        chunk_size=1,
+    single = replace(
+        config, n_realizations=1, observables=(), record_rho=True, threads=1, chunk_size=1
     )
     obs_stack = np.zeros((0, d, d), complex)
     stats = _run_chunk(single, plan, obs_stack, np.array([realization_index]))

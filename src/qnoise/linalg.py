@@ -40,10 +40,9 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def matexp(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Matrix exponential.
 
-    Hermitian and anti-Hermitian inputs go through an eigendecomposition
-    (the dominant case here: exponents of the stochastic gates are
-    anti-Hermitian); everything else falls back to scipy's
-    scaling-and-squaring Pade implementation.
+    Hermitian and anti-Hermitian inputs go through an eigendecomposition;
+    everything else falls back to scipy's scaling-and-squaring Pade
+    implementation.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -58,15 +57,27 @@ def matexp(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def matexp_antihermitian(a: np.ndarray) -> np.ndarray:
-    """Batched exponential of anti-Hermitian matrices.
+    """Batched exp(kron(a, s+) - kron(a^dag, s-)) for blocks a of shape (..., d, d).
 
-    Accepts shape (..., d, d); no Hermiticity check is performed, the
-    caller guarantees a = -a^dag.  Output is unitary to machine precision.
+    The ancilla sits in the last tensor slot (index sys*2 + anc) and
+    s+ = |1><0|, so in ancilla blocks the anti-Hermitian exponent is
+    [[0, -a^dag], [a, 0]].  One d x d SVD a = W S V^dag per matrix gives
+    [[V cos(S) V^dag, -V sin(S) W^dag], [W sin(S) V^dag, W cos(S) W^dag]],
+    unitary to machine precision.
     """
     a = np.asarray(a, dtype=complex)
-    w, v = np.linalg.eigh(1j * a)
-    phases = np.exp(-1j * w)
-    return np.einsum("...ij,...j,...kj->...ik", v, phases, v.conj())
+    w, s, vh = np.linalg.svd(a)
+    v = vh.conj().swapaxes(-1, -2)
+    wh = w.conj().swapaxes(-1, -2)
+    cos = np.cos(s)[..., None, :]
+    sin = np.sin(s)[..., None, :]
+    d = a.shape[-1]
+    out = np.empty(a.shape[:-2] + (2 * d, 2 * d), dtype=complex)
+    out[..., 0::2, 0::2] = (v * cos) @ vh
+    out[..., 0::2, 1::2] = -(v * sin) @ wh
+    out[..., 1::2, 0::2] = (w * sin) @ vh
+    out[..., 1::2, 1::2] = (w * cos) @ wh
+    return out
 
 
 def partial_trace_ancilla(rho_full: np.ndarray, system_dim: int) -> np.ndarray:

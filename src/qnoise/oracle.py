@@ -33,11 +33,6 @@ def evolve_exact(model: LindbladModel, rho0: np.ndarray, t: float) -> np.ndarray
     return linalg.unvec(prop @ linalg.vec(rho0), d)
 
 
-def exact_propagator(model: LindbladModel, t: float) -> np.ndarray:
-    """Superoperator exp(L t); convenient when stepping many times."""
-    return scipy.linalg.expm(liouvillian(model) * t)
-
-
 def evolve_rk4(
     model: LindbladModel, rho0: np.ndarray, t: float, steps: int
 ) -> np.ndarray:

@@ -1,11 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qnoise.cli import main
+from qnoise.cli import _load_config, main
+from qnoise.engine import RunConfig, run_ensemble
 from qnoise.model import PauliString
 from qnoise.noisegate import closed_propagator
+from qnoise.presets import single_spin_model
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -222,3 +227,47 @@ def test_unknown_preset(tmp_path):
     cfg = write_config(tmp_path, {"model": {"preset": "bogus"}, "run": {"dt": 1, "n_steps": 1}})
     with pytest.raises(SystemExit, match="preset"):
         main(["simulate", cfg])
+
+
+@pytest.mark.parametrize("section,key", [("run", "n_realisations"), ("experiment", "repetition")])
+def test_unknown_config_key_is_rejected(tmp_path, section, key):
+    # A misspelled n_realizations used to run one realization silently.
+    doc = small_sim_config()
+    doc.setdefault(section, {})[key] = 100
+    cfg = write_config(tmp_path, doc)
+    with pytest.raises(SystemExit, match=rf"^error: {section}\.{key}: unknown field$"):
+        main(["simulate", cfg, "--out-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_bundled_configs_pass_key_check(path):
+    assert "model" in _load_config(str(path))
+
+
+@pytest.mark.parametrize("missing", ["dt", "n_steps"])
+def test_bounds_requires_dt_and_n_steps(tmp_path, missing):
+    # A missing run.dt used to become dt = 1 silently.
+    run = {"dt": 1e-6, "n_steps": 30}
+    del run[missing]
+    cfg = write_config(tmp_path, {"model": {"preset": "single-spin"}, "run": run})
+    with pytest.raises(SystemExit, match=rf"^error: run\.{missing}: field missing$"):
+        main(["bounds", cfg, "--out-dir", str(tmp_path)])
+
+
+def test_simulate_reports_flip_rate(tmp_path, capsys):
+    doc = small_sim_config(n_realizations=200, extra_run={"dt": 1e-5})
+    cfg = write_config(tmp_path, doc)
+    main(["simulate", cfg, "--out-dir", str(tmp_path)])
+    line = [l for l in capsys.readouterr().out.splitlines() if "ancilla flip rate" in l]
+    assert len(line) == 1
+    printed = float(line[0].split("=")[1].split()[0])
+
+    config = RunConfig(
+        model=single_spin_model(), dt=1e-5, n_steps=5, n_realizations=200, master_seed=3,
+        observables=[("Z", PauliString("Z").matrix())],
+    )
+    expected = run_ensemble(config).flip_fraction.mean()
+    assert expected > 0
+    assert printed == pytest.approx(expected, abs=5e-7)
+    header, _ = parse_csv(tmp_path / "result.csv")
+    assert header == ["step", "time", "observable_label", "mean", "stderr"]

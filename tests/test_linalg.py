@@ -74,12 +74,28 @@ def test_matexp_antihermitian_unitary(rng):
         assert np.max(np.abs(u.conj().T @ u - np.eye(16))) < 1e-10
 
 
+def coupling(a):
+    return linalg.kron(a, SIGMA_PLUS) - linalg.kron(a.conj().T, SIGMA_PLUS.T)
+
+
 def test_matexp_antihermitian_batched(rng):
-    h = random_complex(rng, (5, 4, 4))
-    a = h - h.conj().transpose(0, 2, 1)
+    # matexp_antihermitian takes the d x d blocks a of the coupling
+    a = random_complex(rng, (5, 4, 4))
     batched = linalg.matexp_antihermitian(a)
     for i in range(5):
-        assert_allclose(batched[i], linalg.matexp(a[i]), atol=1e-12)
+        assert_allclose(batched[i], linalg.matexp(coupling(a[i])), atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_matexp_antihermitian_block_cases(rng, d):
+    zero = np.zeros((d, d), dtype=complex)
+    assert_allclose(linalg.matexp_antihermitian(zero), np.eye(2 * d), atol=1e-15)
+    rank_one = np.outer(random_complex(rng, d), random_complex(rng, d))
+    large = 3.0 * random_complex(rng, (d, d))   # rotation angles beyond pi
+    for a in (rank_one, large):
+        u = linalg.matexp_antihermitian(a)
+        assert_allclose(u, linalg.matexp(coupling(a)), atol=1e-12)
+        assert linalg.is_unitary(u, 1e-12)
 
 
 def test_partial_trace_product_state(rng):

@@ -11,6 +11,7 @@ from qnoise.model import (
     PauliString,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    total_hamiltonian,
 )
 from qnoise.noisegate import (
     build_plan,
@@ -279,3 +280,122 @@ def test_build_plan_rejects_bad_args():
         build_plan(model, -1.0)
     with pytest.raises(ValueError):
         build_plan(model, 1e-6, M=0)
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the Kronecker-matrix construction: per-node propagators
+# from linalg.matexp, 2d x 2d couplings J_k(s_r) built with kron, the
+# einsum contraction S_k = sum_r J_k(s_r) dW_r, and one exponential per
+# matrix.  The plan's d x d table, GEMM and block-SVD exponential must
+# reproduce it on fixed increments.
+# ---------------------------------------------------------------------------
+
+
+def reference_propagator(model, t, trotter):
+    if trotter == "exact":
+        return linalg.matexp(-1j * t * total_hamiltonian(model))
+    scale = 1.0 if trotter == "order-1" else 0.5
+    factors = [linalg.matexp(-1j * scale * t * h.matrix()) for h in model.hamiltonian_terms]
+    if trotter == "order-2":
+        factors = factors + factors[::-1]
+    u = np.eye(model.dim, dtype=complex)
+    for f in factors:
+        u = f @ u
+    return u
+
+
+def reference_L(model, trotter, nodes):
+    """[k][r] -> L_k(s_r) = U(s_r)^dag L_k U(s_r)."""
+    props = [reference_propagator(model, s, trotter) for s in nodes]
+    return [[u.conj().T @ term.operator @ u for u in props] for term in model.lindblad_terms]
+
+
+def reference_gates(model, dt, trotter, M, increments):
+    nodes = np.linspace(0.0, dt, M + 1)[:M]
+    ls = reference_L(model, trotter, nodes)
+    batch = increments.shape[:-2]
+    d2 = 2 * model.dim
+    gate = np.broadcast_to(
+        linalg.kron(reference_propagator(model, dt, trotter), np.eye(2)), batch + (d2, d2)
+    ).copy()
+    for k, term in enumerate(model.lindblad_terms):
+        if term.rate == 0.0:
+            continue
+        j = np.array([
+            linalg.kron(L, SIGMA_PLUS) - linalg.kron(L.conj().T, SIGMA_MINUS) for L in ls[k]
+        ])
+        s_k = np.einsum("...m,mij->...ij", increments[..., k, :], j)
+        exps = [linalg.matexp(np.sqrt(term.rate) * s) for s in s_k.reshape(-1, d2, d2)]
+        gate = gate @ np.array(exps).reshape(s_k.shape)
+    return gate
+
+
+def reference_channel(model, dt, trotter, M, rho):
+    """Per-piece loop over (channel, node) of the left-endpoint dissipator integral."""
+    h = dt / M
+    ls = reference_L(model, trotter, [r * h for r in range(M)])
+    acc = rho.copy()
+    for k, term in enumerate(model.lindblad_terms):
+        if term.rate == 0.0:
+            continue
+        for L in ls[k]:
+            LdL = L.conj().T @ L
+            acc += term.rate * h * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
+    u = reference_propagator(model, dt, trotter)
+    return u @ acc @ u.conj().T
+
+
+def lowering_model():
+    # H = (omega/2) Z keeps L(s) = e^{i omega s} sigma-, so every A is rank one;
+    # the X channel has rate zero and must be skipped.
+    return LindbladModel(
+        1,
+        (HamiltonianTerm(1.5, Z, 1),),
+        (
+            LindbladTerm(0.8, SIGMA_MINUS, 1, (0,), "lower"),
+            LindbladTerm(0.0, X, 1, (0,), "off"),
+        ),
+    )
+
+
+EQUIVALENCE_CASES = [
+    pytest.param(presets.single_spin_model, presets.SINGLE_SPIN_DT, 8, id="single-spin"),
+    pytest.param(presets.two_molecule_model, presets.TWO_MOLECULE_DT, 256, id="two-molecule"),
+    pytest.param(lowering_model, 0.3, 8, id="lowering"),
+]
+
+
+@pytest.mark.parametrize("trotter", ["exact", "order-1", "order-2"])
+@pytest.mark.parametrize("make_model,dt,M", EQUIVALENCE_CASES)
+def test_gates_match_kronecker_reference(make_model, dt, M, trotter):
+    model = make_model()
+    plan = build_plan(model, dt, trotter, M)
+    rng = np.random.default_rng(2024)
+    K = len(model.lindblad_terms)
+    # Wiener-scale increments, increments large enough to rotate by O(1),
+    # and all-zero increments (the gate is then U(dt) alone).
+    typical = rng.normal(0.0, np.sqrt(dt / M), size=(6, K, M))
+    large = rng.normal(0.0, 3.0 / np.sqrt(M * max(plan.rates)), size=(4, K, M))
+    zero = np.zeros((2, K, M))
+    for inc in (typical, large, zero):
+        got = gates_from_increments(plan, inc)
+        assert_allclose(got, reference_gates(model, dt, trotter, M, inc), rtol=0, atol=1e-12)
+    for gate in gates_from_increments(plan, zero):
+        assert_allclose(gate, plan.u_full, atol=1e-14)
+
+
+def test_lowering_channel_block_is_rank_one():
+    model = lowering_model()
+    plan = build_plan(model, 0.3, M=8)
+    a = np.tensordot(np.random.default_rng(5).normal(size=8), plan.l_nodes[0, :8], 1)
+    sv = np.linalg.svd(a, compute_uv=False)
+    assert sv[0] > 0.1 and sv[1] < 1e-14
+
+
+@pytest.mark.parametrize("trotter", ["exact", "order-1", "order-2"])
+@pytest.mark.parametrize("make_model,dt,M", EQUIVALENCE_CASES)
+def test_expected_channel_matches_piece_loop(make_model, dt, M, trotter):
+    model = make_model()
+    rho = random_density(np.random.default_rng(17), model.dim)
+    got = expected_channel(model, dt, trotter, M)(rho)
+    assert_allclose(got, reference_channel(model, dt, trotter, M, rho), rtol=0, atol=1e-12)
