@@ -1,9 +1,10 @@
 """Single-ancilla stochastic-gate simulator for Lindblad open-system dynamics."""
 
 from . import bounds, engine, linalg, model, noisegate, oracle, presets
+from .config import load_model
 from .engine import EnsembleResult, RunConfig, run_ensemble, run_trajectory
-from .model import LindbladModel, load_model
-from .noisegate import NoiseGatePlan, build_plan, expected_channel, sample_gate
+from .model import LindbladModel
+from .noisegate import NoiseGatePlan, build_plan, expected_channel
 from .oracle import evolve_exact, evolve_rk4, step_sa
 
 __version__ = "0.1.0"
@@ -27,6 +28,5 @@ __all__ = [
     "presets",
     "run_ensemble",
     "run_trajectory",
-    "sample_gate",
     "step_sa",
 ]

@@ -49,18 +49,16 @@ class BoundInputs:
         n_steps: int,
         trotter_order: int = 1,
         exact_unitary: bool = False,
-        gamma: Optional[float] = None,
-        omega: Optional[float] = None,
     ) -> "BoundInputs":
-        """Extract scales and norms from a model; overrides are optional."""
+        """Extract scales and norms from a model."""
         rates = [t.rate for t in model.lindblad_terms]
         coeffs = [abs(t.coefficient) for t in model.hamiltonian_terms]
         return cls(
             K=model.k_local,
             m=max(model.max_locality, 1),
             n=model.n,
-            gamma=max(rates, default=0.0) if gamma is None else gamma,
-            omega=max(coeffs, default=0.0) if omega is None else omega,
+            gamma=max(rates, default=0.0),
+            omega=max(coeffs, default=0.0),
             J=len(model.hamiltonian_terms),
             max_h_norm=max(
                 (linalg.spectral_norm(t.operator) for t in model.hamiltonian_terms),

@@ -49,7 +49,7 @@ class RunConfig:
     model: LindbladModel
     dt: float
     n_steps: int
-    n_realizations: int
+    n_realizations: int = 1
     master_seed: int = 0
     mode: str = "measure-reset"
     m_nodes: int = 8
@@ -69,6 +69,10 @@ class RunConfig:
             raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         d = self.model.dim
         for label, op in self.observables:
             op = np.asarray(op)
@@ -201,6 +205,19 @@ def _new_stats(config: RunConfig, n_obs: int) -> _ChunkStats:
     )
 
 
+def measure_ancilla(full: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measure the last-qubit ancilla of (B, 2d) states, outcome 1 when uniforms < p1,
+    and reset it to |0>: the normalised (B, d) system states and the outcome-1 mask.
+    Raises TrajectoryError on a numerically zero-norm branch."""
+    odd = full[:, 1::2]
+    outcome1 = uniforms < np.sum(np.abs(odd) ** 2, axis=1)
+    branch = np.where(outcome1[:, None], odd, full[:, 0::2])
+    norms = np.linalg.norm(branch, axis=1)
+    if np.any(norms < 1e-12):
+        raise TrajectoryError(f"zero-norm measurement branch in batch entry {np.argmin(norms)}")
+    return branch / norms[:, None], outcome1
+
+
 def _run_chunk(config: RunConfig, plan: NoiseGatePlan, obs_stack: np.ndarray,
                indices: np.ndarray) -> _ChunkStats:
     inc, uni = _draw_chunk_noise(config, plan, indices)
@@ -216,18 +233,7 @@ def _run_chunk(config: RunConfig, plan: NoiseGatePlan, obs_stack: np.ndarray,
             gates = gates_from_increments(plan, inc[:, j])
             full = np.zeros((B, 2 * d), dtype=complex)
             full[:, 0::2] = psi
-            full = np.einsum("bij,bj->bi", gates, full)
-            odd = full[:, 1::2]
-            p1 = np.sum(np.abs(odd) ** 2, axis=1)
-            outcome1 = uni[:, j] < p1
-            branch = np.where(outcome1[:, None], odd, full[:, 0::2])
-            norms = np.linalg.norm(branch, axis=1)
-            if np.any(norms < 1e-12):
-                bad = int(indices[np.argmin(norms)])
-                raise TrajectoryError(
-                    f"zero-norm measurement branch in trajectory {bad} at step {j}"
-                )
-            psi = branch / norms[:, None]
+            psi, outcome1 = measure_ancilla(np.einsum("bij,bj->bi", gates, full), uni[:, j])
             stats.flips[j] += outcome1.sum()
             _record(stats, j + 1, obs_stack, psi=psi)
     else:  # partial-trace
@@ -304,27 +310,6 @@ def run_trajectory(config: RunConfig, realization_index: int) -> np.ndarray:
     obs_stack = np.zeros((0, d, d), complex)
     stats = _run_chunk(single, plan, obs_stack, np.array([realization_index]))
     return stats.rho_sum
-
-
-def reset_ancilla_measure(
-    state: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """Measure the last-qubit ancilla and return (state with ancilla |0>, outcome).
-
-    Outcome 1 is flipped back to |0>.  Raises TrajectoryError on a
-    numerically zero-norm branch.
-    """
-    state = np.asarray(state, dtype=complex)
-    odd = state[1::2]
-    p1 = float(np.sum(np.abs(odd) ** 2))
-    outcome = 1 if rng.random() < p1 else 0
-    branch = odd if outcome else state[0::2]
-    norm = np.linalg.norm(branch)
-    if norm < 1e-12:
-        raise TrajectoryError("zero-norm measurement branch")
-    out = np.zeros_like(state)
-    out[0::2] = branch / norm
-    return out, outcome
 
 
 def estimate_observable(result: EnsembleResult, op, step: int) -> tuple[float, float]:

@@ -7,10 +7,8 @@ models simply use rate/frequency values with an implied unit time scale.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,14 +23,6 @@ PAULI = {
 
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-
-
-class ModelParseError(ValueError):
-    """Model document rejected; ``path`` points at the offending field."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
 
 
 @dataclass(frozen=True)
@@ -175,139 +165,3 @@ def k_local_count(n: int, m: int) -> int:
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     return math.comb(n, m)
-
-
-# ---------------------------------------------------------------------------
-# Model files
-#
-# JSON schema:
-#   {
-#     "n": <int>,
-#     "hamiltonian": [ {"pauli": "X", "coeff": 1.0, "label": "..."} |
-#                      {"matrix": [[[re, im], ...], ...], "coeff": 1.0,
-#                       "support": [0, 1]} , ... ],
-#     "lindblad":    [ {"pauli": "Z", "rate": 0.1} |
-#                      {"matrix": ..., "rate": 0.1, "support": [0]} , ... ],
-#     "units": {"time": "s", "rate": "1/s"}          # optional, fixed values
-#   }
-# ---------------------------------------------------------------------------
-
-
-def _parse_complex_matrix(obj, path: str, dim: int) -> np.ndarray:
-    try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelParseError(path, f"not a numeric array: {exc}") from None
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise ModelParseError(
-            path, f"expected a square matrix of [re, im] pairs, got shape {arr.shape}"
-        )
-    if arr.shape[0] != dim:
-        raise ModelParseError(path, f"matrix dim {arr.shape[0]} != model dim {dim}")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
-
-def _parse_operator(entry: dict, path: str, n: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    if "pauli" in entry and "matrix" in entry:
-        raise ModelParseError(path, "give either 'pauli' or 'matrix', not both")
-    if "pauli" in entry:
-        letters = entry["pauli"]
-        if not isinstance(letters, str) or len(letters) != n:
-            raise ModelParseError(
-                f"{path}.pauli", f"expected a string of {n} Pauli letters, got {letters!r}"
-            )
-        try:
-            ps = PauliString(letters)
-        except ValueError as exc:
-            raise ModelParseError(f"{path}.pauli", str(exc)) from None
-        return ps.matrix(), max(ps.weight, 1), ps.support or (0,)
-    if "matrix" in entry:
-        op = _parse_complex_matrix(entry["matrix"], f"{path}.matrix", 2 ** n)
-        support = entry.get("support")
-        if support is not None:
-            if not isinstance(support, list) or not all(
-                isinstance(q, int) and 0 <= q < n for q in support
-            ):
-                raise ModelParseError(f"{path}.support", f"invalid qubit list {support!r}")
-            support = tuple(sorted(support))
-        else:
-            support = tuple(range(n))
-        return op, len(support), support
-    raise ModelParseError(path, "missing operator: need 'pauli' or 'matrix'")
-
-
-def load_model(source) -> LindbladModel:
-    """Build a LindbladModel from a JSON document, file path, or dict."""
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
-            raise ModelParseError("<document>", f"invalid JSON: {exc}") from None
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise ModelParseError("<document>", "model document must be a JSON object")
-
-    n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ModelParseError("n", f"expected a positive integer, got {n!r}")
-
-    units = doc.get("units")
-    if units is not None and units != {"time": "s", "rate": "1/s"}:
-        raise ModelParseError("units", f'only {{"time": "s", "rate": "1/s"}} is supported, got {units!r}')
-
-    h_terms = []
-    for i, entry in enumerate(doc.get("hamiltonian", [])):
-        path = f"hamiltonian[{i}]"
-        if not isinstance(entry, dict):
-            raise ModelParseError(path, "expected an object")
-        coeff = entry.get("coeff")
-        if not isinstance(coeff, (int, float)):
-            raise ModelParseError(f"{path}.coeff", f"expected a number, got {coeff!r}")
-        op, locality, _ = _parse_operator(entry, path, n)
-        try:
-            h_terms.append(
-                HamiltonianTerm(float(coeff), op, locality, entry.get("label", f"H{i}"))
-            )
-        except ValueError as exc:
-            raise ModelParseError(path, str(exc)) from None
-
-    l_terms = []
-    for i, entry in enumerate(doc.get("lindblad", [])):
-        path = f"lindblad[{i}]"
-        if not isinstance(entry, dict):
-            raise ModelParseError(path, "expected an object")
-        rate = entry.get("rate")
-        if not isinstance(rate, (int, float)) or rate < 0:
-            raise ModelParseError(f"{path}.rate", f"expected a number >= 0, got {rate!r}")
-        op, locality, support = _parse_operator(entry, path, n)
-        l_terms.append(
-            LindbladTerm(float(rate), op, locality, support, entry.get("label", f"L{i}"))
-        )
-
-    return LindbladModel(n, tuple(h_terms), tuple(l_terms))
-
-
-def model_to_json(model: LindbladModel) -> dict:
-    """Inverse of load_model, used to echo configs into result metadata."""
-    return {
-        "n": model.n,
-        "hamiltonian": [
-            {"matrix": _matrix_to_json(t.operator), "coeff": t.coefficient, "label": t.label}
-            for t in model.hamiltonian_terms
-        ],
-        "lindblad": [
-            {
-                "matrix": _matrix_to_json(t.operator),
-                "rate": t.rate,
-                "support": list(t.support),
-                "label": t.label,
-            }
-            for t in model.lindblad_terms
-        ],
-        "units": {"time": "s", "rate": "1/s"},
-    }

@@ -74,13 +74,6 @@ def _interaction_table(model: LindbladModel, props: np.ndarray) -> np.ndarray:
     return props.conj().swapaxes(-1, -2)[None] @ ops[:, None] @ props[None]
 
 
-def interaction_picture_L(
-    model: LindbladModel, k: int, s: float, trotter: str = "exact"
-) -> np.ndarray:
-    """L_k conjugated into the interaction picture: U(s)^dag L_k U(s)."""
-    return _interaction_table(model, closed_propagator(model, [s], trotter))[k, 0]
-
-
 def coupling_operator(L_s: np.ndarray) -> np.ndarray:
     """J(s) = kron(L(s), sigma+) - kron(L(s)^dag, sigma-) for a stack (..., d, d) of L(s)."""
     L_s = np.asarray(L_s, dtype=complex)
@@ -113,11 +106,6 @@ class NoiseGatePlan:
     def n_channels(self) -> int:
         return len(self.rates)
 
-    @property
-    def j_nodes(self) -> tuple[np.ndarray, ...]:
-        """K stacks, each (M+1, 2d, 2d): J_k at the nodes, derived from l_nodes on access."""
-        return tuple(coupling_operator(self.l_nodes))
-
 
 def build_plan(
     model: LindbladModel, dt: float, trotter: str = "exact", M: int = 8
@@ -146,12 +134,6 @@ def sample_increments(plan: NoiseGatePlan, rng: np.random.Generator, size=()) ->
     return rng.normal(0.0, np.sqrt(plan.dt / plan.m_nodes), size=shape)
 
 
-def sample_Sk(plan: NoiseGatePlan, k: int, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the Ito integral S_k = sum_r J_k(s_r) dW_r."""
-    dw = rng.normal(0.0, np.sqrt(plan.dt / plan.m_nodes), size=plan.m_nodes)
-    return coupling_operator(np.tensordot(dw, plan.l_nodes[k, : plan.m_nodes], 1))
-
-
 def gates_from_increments(plan: NoiseGatePlan, increments: np.ndarray) -> np.ndarray:
     """Batched gate assembly from pre-drawn increments.
 
@@ -169,20 +151,6 @@ def gates_from_increments(plan: NoiseGatePlan, increments: np.ndarray) -> np.nda
         a = (increments[..., k, :] @ table).view(complex).reshape(batch + (d, d))
         gate = gate @ linalg.matexp_antihermitian(np.sqrt(plan.rates[k]) * a)
     return gate
-
-
-@dataclass(frozen=True)
-class NoiseGateRealization:
-    matrix: np.ndarray       # (2d, 2d) unitary
-    increments: np.ndarray   # (K, M) Wiener increments that produced it
-
-
-def sample_gate(
-    plan: NoiseGatePlan, model: LindbladModel, rng: np.random.Generator
-) -> NoiseGateRealization:
-    """Draw one stochastic gate N(dt); increments are kept for audit."""
-    dw = sample_increments(plan, rng)
-    return NoiseGateRealization(matrix=gates_from_increments(plan, dw), increments=dw)
 
 
 def expected_channel(

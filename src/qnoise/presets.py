@@ -95,3 +95,10 @@ def two_molecule_model() -> LindbladModel:
             )
         )
     return LindbladModel(2, h_terms, tuple(l_terms))
+
+
+# The models a config names with `model.preset`.
+PRESETS = {
+    "single-spin": single_spin_model,
+    "two-molecule": two_molecule_model,
+}

@@ -16,7 +16,9 @@ from qnoise.bounds import BoundInputs, epsilon_p_bound
 from qnoise.cli import main
 from qnoise.engine import RunConfig, run_ensemble
 from qnoise.model import PauliString
-from qnoise.noisegate import build_plan, expected_channel, sample_increments, gates_from_increments
+from qnoise.noisegate import (
+    build_plan, coupling_operator, expected_channel, gates_from_increments, sample_increments,
+)
 from qnoise.oracle import evolve_exact, evolve_rk4, step_sa
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -139,7 +141,7 @@ def test_criterion_6_property_suite():
     # sampled S_k are anti-Hermitian within 1e-10
     anti_dev = 0.0
     for k in range(3):
-        s = np.einsum("bm,mij->bij", dw[:, k, :], plan.j_nodes[k][:8])
+        s = np.einsum("bm,mij->bij", dw[:, k, :], coupling_operator(plan.l_nodes[k, :8]))
         anti_dev = max(anti_dev, float(np.max(np.abs(s + s.conj().transpose(0, 2, 1)))))
     assert anti_dev < 1e-10
 

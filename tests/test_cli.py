@@ -1,16 +1,20 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qnoise.cli import _load_config, main
+from qnoise.bounds import BoundInputs, bound_report
+from qnoise.cli import main
+from qnoise.config import SCHEMA, load, load_model
 from qnoise.engine import RunConfig, run_ensemble
 from qnoise.model import PauliString
 from qnoise.noisegate import closed_propagator
 from qnoise.presets import single_spin_model
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -101,10 +105,7 @@ def test_simulate_noiseless_matches_closed_system(tmp_path):
     cfg = write_config(tmp_path, doc)
     main(["simulate", cfg, "--out-dir", str(tmp_path)])
     _, rows = parse_csv(tmp_path / "result.csv")
-    model = None
     z = PauliString("Z").matrix()
-    from qnoise.model import load_model
-
     model = load_model(doc["model"])
     for row in rows:
         t = float(row[1])
@@ -239,9 +240,17 @@ def test_unknown_config_key_is_rejected(tmp_path, section, key):
         main(["simulate", cfg, "--out-dir", str(tmp_path)])
 
 
+BUNDLED_COMMAND = {
+    "single_spin.json": "simulate",
+    "single_spin_sampling.json": "sampling-error",
+    "single_spin_sweep.json": "sweep-dt",
+    "two_molecule.json": "simulate",
+}
+
+
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
 def test_bundled_configs_pass_key_check(path):
-    assert "model" in _load_config(str(path))
+    assert load(str(path), BUNDLED_COMMAND[path.name]).model.n >= 1
 
 
 @pytest.mark.parametrize("missing", ["dt", "n_steps"])
@@ -271,3 +280,109 @@ def test_simulate_reports_flip_rate(tmp_path, capsys):
     assert printed == pytest.approx(expected, abs=5e-7)
     header, _ = parse_csv(tmp_path / "result.csv")
     assert header == ["step", "time", "observable_label", "mean", "stderr"]
+
+
+def _set(doc, dotted, value):
+    *parents, last = dotted.split(".")
+    for key in parents:
+        doc = doc.setdefault(key, {})
+    doc[last] = value
+
+
+# Small experiment sections, so that a check that fails to stop a run stays quick.
+EXPERIMENT = {"sweep-dt": {"m_nodes": 8}, "sampling-error": {"n_r_values": [4, 8], "repetitions": 2}}
+INLINE_H = [{"pauli": "X", "coeff": 1.0}]
+
+
+# Each row: command, config key set on a small single-spin config, its
+# value, and the field path the error must name.  In brackets, what the
+# input did before the declared schema.
+BAD_INPUT = [
+    ("simulate", "run.n_steps", 2.7, r"run\.n_steps"),            # [ran 2 steps]
+    ("simulate", "run.record_rho", "false", r"run\.record_rho"),  # [wrote rho_steps.json]
+    ("simulate", "run.dt", "1e-6", r"run\.dt"),                   # [accepted]
+    ("simulate", "run.n_steps", None, r"run\.n_steps"),           # [TypeError]
+    ("simulate", "run.m_nodes", 0, r"run\.m_nodes"),              # [traceback]
+    ("simulate", "run.chunk_size", 0, r"run\.chunk_size"),        # [traceback]
+    ("simulate", "run.threads", -3, r"run\.threads"),             # [ran]
+    ("bounds", "run.trotter", "bogus", r"run\.trotter"),          # [exit 0]
+    ("simulate", "run.trotter", "order-3", r"run\.trotter"),      # [traceback]
+    ("simulate", "model", {"n": 1, "hamiltonain": INLINE_H}, r"model\.hamiltonain"),  # [H = 0]
+    ("simulate", "model.gamma", 5.0, r"model\.gamma"),            # [ignored]
+    ("simulate", "model", {"n": 1, "hamiltonian": [{**INLINE_H[0], "suport": [0]}]},
+     r"model\.hamiltonian\[0\]\.suport"),                        # [ignored]
+    ("sweep-dt", "experiment.m_nodes", 0, r"experiment\.m_nodes"),  # [traceback]
+    ("sweep-dt", "experiment.dt_values", [-1e-6, 2e-6],
+     r"experiment\.dt_values\[0\]"),                              # [traceback]
+    ("sampling-error", "experiment.repetitions", 0, r"experiment\.repetitions"),  # [slope nan]
+    ("sampling-error", "experiment.n_r_values", [0, 4],
+     r"experiment\.n_r_values\[0\]"),                           # [traceback]
+    # One point leaves no log-log slope to fit [printed a made-up slope].
+    ("sweep-dt", "experiment.dt_values", [1e-6], r"experiment\.dt_values"),
+    ("sampling-error", "experiment.n_r_values", [4], r"experiment\.n_r_values"),
+]
+
+
+@pytest.mark.parametrize("command,key,value,path", BAD_INPUT,
+                         ids=[f"{command}-{path.replace(chr(92), '')}"
+                              + ("" if isinstance(value, (dict, list)) else f"={json.dumps(value)}")
+                              for command, _, value, path in BAD_INPUT])
+def test_bad_input_names_its_field(tmp_path, command, key, value, path):
+    doc = small_sim_config()
+    doc["experiment"] = dict(EXPERIMENT.get(command, {}))
+    _set(doc, key, value)
+    cfg = write_config(tmp_path, doc)
+    with pytest.raises(SystemExit) as exc:
+        main([command, cfg, "--out-dir", str(tmp_path)])
+    assert isinstance(exc.value.code, str)  # a message, so the exit status is 1
+    assert re.match(rf"^error: {path}: ", exc.value.code), exc.value.code
+
+
+def test_threads_override_is_checked(tmp_path):
+    cfg = write_config(tmp_path, small_sim_config())
+    with pytest.raises(SystemExit, match=r"^error: run\.threads: expected an integer >= 1, got 0$"):
+        main(["simulate", cfg, "--threads", "0", "--out-dir", str(tmp_path)])
+
+
+def test_sweep_total_time_horizon(tmp_path):
+    # Without experiment.total_time the horizon is run.dt * run.n_steps ...
+    experiment = {"compose": "total-time", "dt_values": [1e-6, 2e-6], "m_nodes": 8}
+    docs = {
+        "run": {"model": {"preset": "single-spin"}, "run": {"dt": 1e-6, "n_steps": 10},
+                "experiment": experiment},
+        "explicit": {"model": {"preset": "single-spin"},
+                     "experiment": {**experiment, "total_time": 10e-6}},
+        "per-step": {"model": {"preset": "single-spin"},
+                     "experiment": {**experiment, "compose": "per-step"}},
+    }
+    csv = {}
+    for name, doc in docs.items():
+        out = tmp_path / name
+        main(["sweep-dt", write_config(tmp_path, doc, f"{name}.json"), "--out-dir", str(out)])
+        csv[name] = (out / "sweep.csv").read_bytes()
+    assert csv["run"] == csv["explicit"] != csv["per-step"]
+
+    # ... and with neither, there is no horizon (it used to become each dt).
+    del docs["run"]["run"]
+    cfg = write_config(tmp_path, docs["run"], "none.json")
+    with pytest.raises(SystemExit, match=r"^error: experiment\.total_time: field missing$"):
+        main(["sweep-dt", cfg, "--out-dir", str(tmp_path)])
+
+
+def test_bounds_trotter_order_follows_run_trotter(tmp_path):
+    doc = {"model": {"preset": "single-spin"},
+           "run": {"dt": 1e-6, "n_steps": 30, "trotter": "order-2"}}
+    main(["bounds", write_config(tmp_path, doc), "--out-dir", str(tmp_path)])
+    report = json.loads((tmp_path / "bounds.json").read_text())
+    expected = bound_report(BoundInputs.from_model(single_spin_model(), 1e-6, 30, trotter_order=2))
+    assert report == json.loads(json.dumps(expected.to_json()))
+    assert report["eps_T"] == pytest.approx(0.0179, abs=1e-4)
+
+
+def test_readme_documents_every_config_key():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    for name, schema in SCHEMA.items():
+        for key in schema.keys:
+            dotted = f"{name}.{key}" if name else key
+            assert f"`{dotted}`" in section, f"README Configuration lacks `{dotted}`"

@@ -7,7 +7,7 @@ from qnoise.engine import (
     RunConfig,
     TrajectoryError,
     estimate_observable,
-    reset_ancilla_measure,
+    measure_ancilla,
     run_ensemble,
     run_trajectory,
     trajectory_seed,
@@ -35,15 +35,15 @@ def test_reset_ancilla_trivial_cases(rng):
     psi = random_pure(rng, 2)
     state0 = np.zeros(4, dtype=complex)
     state0[0::2] = psi
-    out, outcome = reset_ancilla_measure(state0, rng)
-    assert outcome == 0
-    assert_allclose(out, state0, atol=1e-12)
+    out, outcome1 = measure_ancilla(state0[None], rng.random(1))
+    assert not outcome1[0]
+    assert_allclose(out[0], state0[0::2], atol=1e-12)
 
     state1 = np.zeros(4, dtype=complex)
     state1[1::2] = psi
-    out, outcome = reset_ancilla_measure(state1, rng)
-    assert outcome == 1
-    assert_allclose(out, state0, atol=1e-12)
+    out, outcome1 = measure_ancilla(state1[None], rng.random(1))
+    assert outcome1[0]
+    assert_allclose(out[0], state0[0::2], atol=1e-12)
 
 
 def test_reset_ancilla_born_frequencies(rng):
@@ -52,7 +52,9 @@ def test_reset_ancilla_born_frequencies(rng):
     state[0] = np.sqrt(p0)   # |0>|0>
     state[3] = np.sqrt(1 - p0)  # |1>|1>
     n = 100_000
-    zeros = sum(reset_ancilla_measure(state, rng)[1] == 0 for _ in range(n))
+    # rng.random(n) draws the same uniforms as n calls of rng.random()
+    _, outcome1 = measure_ancilla(np.broadcast_to(state, (n, 4)), rng.random(n))
+    zeros = np.count_nonzero(~outcome1)
     se = np.sqrt(p0 * (1 - p0) / n)
     assert zeros / n == pytest.approx(p0, abs=3 * se)
 
@@ -182,14 +184,18 @@ def test_config_validation():
     with pytest.raises(ValueError, match="norm"):
         RunConfig(model=model, dt=1e-6, n_steps=1, n_realizations=1,
                   initial_state=np.array([2.0, 0.0])).initial_vector()
+    with pytest.raises(ValueError, match="chunk_size"):
+        RunConfig(model=model, dt=1e-6, n_steps=1, n_realizations=1, chunk_size=0)
+    with pytest.raises(ValueError, match="threads"):
+        RunConfig(model=model, dt=1e-6, n_steps=1, n_realizations=1, threads=0)
 
 
 def test_reset_zero_norm_branch_raises(rng):
     state = np.zeros(4, dtype=complex)
     state[1] = 1.0  # pure |0>|1>: outcome 1 certain, branch fine
-    out, outcome = reset_ancilla_measure(state, rng)
-    assert outcome == 1
+    _, outcome1 = measure_ancilla(state[None], rng.random(1))
+    assert outcome1[0]
     # force the degenerate path: outcome-0 branch has zero norm but is
     # never selected; a zero state is the only way to hit it
     with pytest.raises(TrajectoryError):
-        reset_ancilla_measure(np.zeros(4, dtype=complex), rng)
+        measure_ancilla(np.zeros((1, 4), dtype=complex), rng.random(1))

@@ -10,15 +10,13 @@ from qnoise.model import (
     HamiltonianTerm,
     LindbladModel,
     LindbladTerm,
-    ModelParseError,
     PauliString,
     dissipator,
     k_local_count,
     liouvillian,
-    load_model,
-    model_to_json,
     total_hamiltonian,
 )
+from qnoise.config import ConfigError, load_model, model_to_json
 
 from conftest import random_density
 
@@ -169,19 +167,19 @@ def test_load_model_roundtrip():
 
 
 def test_load_model_error_paths():
-    with pytest.raises(ModelParseError, match=r"^n:"):
+    with pytest.raises(ConfigError, match=r"^n:"):
         load_model({"n": 0})
-    with pytest.raises(ModelParseError, match=r"lindblad\[1\]\.rate"):
+    with pytest.raises(ConfigError, match=r"lindblad\[1\]\.rate"):
         load_model({"n": 1, "lindblad": [{"pauli": "Z", "rate": 0.1}, {"pauli": "X", "rate": -1}]})
-    with pytest.raises(ModelParseError, match=r"hamiltonian\[0\]\.pauli"):
+    with pytest.raises(ConfigError, match=r"hamiltonian\[0\]\.pauli"):
         load_model({"n": 2, "hamiltonian": [{"pauli": "X", "coeff": 1.0}]})
-    with pytest.raises(ModelParseError, match=r"hamiltonian\[0\]\.coeff"):
+    with pytest.raises(ConfigError, match=r"hamiltonian\[0\]\.coeff"):
         load_model({"n": 1, "hamiltonian": [{"pauli": "X"}]})
-    with pytest.raises(ModelParseError, match=r"lindblad\[0\]: give either"):
+    with pytest.raises(ConfigError, match=r"lindblad\[0\]: give either"):
         load_model({"n": 1, "lindblad": [{"pauli": "Z", "matrix": [], "rate": 1.0}]})
-    with pytest.raises(ModelParseError, match="units"):
+    with pytest.raises(ConfigError, match="units"):
         load_model({"n": 1, "units": {"time": "ms", "rate": "1/s"}})
-    with pytest.raises(ModelParseError, match=r"lindblad\[0\]\.support"):
+    with pytest.raises(ConfigError, match=r"lindblad\[0\]\.support"):
         load_model(
             {"n": 1, "lindblad": [{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
                                    "rate": 1.0, "support": [3]}]}
@@ -195,7 +193,7 @@ def test_load_model_from_file(tmp_path):
     assert_allclose(total_hamiltonian(model), 2.0 * Z)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(ModelParseError, match="invalid JSON"):
+    with pytest.raises(ConfigError, match="invalid JSON"):
         load_model(bad)
 
 

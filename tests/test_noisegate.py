@@ -19,10 +19,7 @@ from qnoise.noisegate import (
     coupling_operator,
     expected_channel,
     gates_from_increments,
-    interaction_picture_L,
-    sample_gate,
     sample_increments,
-    sample_Sk,
 )
 from qnoise.oracle import evolve_exact
 
@@ -58,23 +55,26 @@ def test_closed_propagator_trotter_orders():
 
 def test_interaction_picture_identity_at_zero():
     model = driven_dephasing()
-    assert_allclose(interaction_picture_L(model, 0, 0.0), Z, atol=1e-14)
+    assert_allclose(build_plan(model, 0.1).l_nodes[0, 0], Z, atol=1e-14)
 
 
 def test_interaction_picture_commuting_case():
     model = LindbladModel(
         1, (HamiltonianTerm(3.0, Z, 1),), (LindbladTerm(1.0, Z, 1, (0,), "Z"),)
     )
-    for s in [0.1, 0.7, 2.0]:
-        assert_allclose(interaction_picture_L(model, 0, s), Z, atol=1e-12)
+    plan = build_plan(model, 2.0, M=20)  # nodes s_r = 0.1 r
+    for r in [1, 7, 20]:  # s = 0.1, 0.7, 2.0
+        assert_allclose(plan.l_nodes[0, r], Z, atol=1e-12)
 
 
 def test_interaction_picture_closed_form():
     # H = (omega/2) X rotates Z into cos(omega s) Z + sin(omega s) Y
     omega = 2.0
     model = driven_dephasing(omega=omega)
-    for s in [0.0, 0.2, 0.9, 1.7]:
-        got = interaction_picture_L(model, 0, s)
+    plan = build_plan(model, 1.7, M=17)  # nodes s_r = 0.1 r
+    for r in [0, 2, 9, 17]:  # s = 0.0, 0.2, 0.9, 1.7
+        s = plan.nodes[r]
+        got = plan.l_nodes[0, r]
         u = linalg.matexp(-1j * (omega / 2) * s * X)
         assert_allclose(got, u.conj().T @ Z @ u, atol=1e-12)
         assert_allclose(got, np.cos(omega * s) * Z + np.sin(omega * s) * Y, atol=1e-12)
@@ -92,8 +92,9 @@ def test_build_plan_empty_and_constant():
 
     free = LindbladModel(1, (), (LindbladTerm(1.0, Z, 1, (0,), "Z"),))
     plan = build_plan(free, 0.1, M=4)
+    j = coupling_operator(plan.l_nodes[0])
     for r in range(5):
-        assert_allclose(plan.j_nodes[0][r], plan.j_nodes[0][0], atol=1e-14)
+        assert_allclose(j[r], j[0], atol=1e-14)
 
 
 def test_build_plan_nodes_match_direct_computation():
@@ -101,17 +102,19 @@ def test_build_plan_nodes_match_direct_computation():
     dt = presets.SINGLE_SPIN_DT
     plan = build_plan(model, dt, M=8)
     assert_allclose(plan.nodes, np.linspace(0, dt, 9))
-    for k in range(3):
+    j = coupling_operator(plan.l_nodes)
+    for k, term in enumerate(model.lindblad_terms):
         for r, s in enumerate(plan.nodes):
-            expected = coupling_operator(interaction_picture_L(model, k, s))
-            assert_allclose(plan.j_nodes[k][r], expected, atol=1e-12)
-            assert linalg.is_anti_hermitian(plan.j_nodes[k][r], 1e-10)
+            u = closed_propagator(model, s)
+            expected = coupling_operator(u.conj().T @ term.operator @ u)
+            assert_allclose(j[k, r], expected, atol=1e-12)
+            assert linalg.is_anti_hermitian(j[k, r], 1e-10)
 
 
 def test_sample_Sk_anti_hermitian(rng):
     plan = build_plan(presets.single_spin_model(), 1e-6, M=8)
-    for _ in range(50):
-        s = sample_Sk(plan, 2, rng)
+    dw = rng.normal(0.0, np.sqrt(plan.dt / 8), size=(50, 8))  # the draws of 50 single S_k
+    for s in coupling_operator(np.einsum("bm,mij->bij", dw, plan.l_nodes[2, :8])):
         assert linalg.is_anti_hermitian(s, 1e-10)
 
 
@@ -123,7 +126,7 @@ def test_sample_Sk_zero_increments_and_zero_mean(rng):
     # entry-wise mean of S over many draws is 0 within 4 standard errors
     n = 100_000
     dw = rng.normal(0.0, np.sqrt(plan.dt / 8), size=(n, 8))
-    s = np.einsum("bm,mij->bij", dw, plan.j_nodes[0][:8])
+    s = np.einsum("bm,mij->bij", dw, coupling_operator(plan.l_nodes[0, :8]))
     mean = s.mean(axis=0)
     se = s.std(axis=0) / np.sqrt(n)
     assert np.all(np.abs(mean) <= 4 * se + 1e-12)
@@ -136,8 +139,8 @@ def test_sample_Sk_constant_integrand_variance(rng):
     plan = build_plan(model, dt, M=8)
     n = 100_000
     dw = rng.normal(0.0, np.sqrt(dt / 8), size=(n, 8))
-    s = np.einsum("bm,mij->bij", dw, plan.j_nodes[0][:8])
-    j = plan.j_nodes[0][0]
+    s = np.einsum("bm,mij->bij", dw, coupling_operator(plan.l_nodes[0, :8]))
+    j = coupling_operator(plan.l_nodes[0, 0])
     var = np.abs(s) ** 2
     mean_var = var.mean(axis=0)
     se = var.std(axis=0) / np.sqrt(n)
@@ -154,7 +157,7 @@ def test_sample_Sk_covariance_against_trig_integrals(rng):
     plan = build_plan(model, dt, M=M)
     n = 100_000
     dw = rng.normal(0.0, np.sqrt(dt / M), size=(n, M))
-    s = np.einsum("bm,mij->bij", dw, plan.j_nodes[0][:M])
+    s = np.einsum("bm,mij->bij", dw, coupling_operator(plan.l_nodes[0, :M]))
     grid_tol = omega * dt**2 / M  # left-endpoint quadrature bias
 
     a = s[:, 1, 0]
@@ -187,8 +190,8 @@ def test_sample_gate_noiseless_limit(rng):
         1, (HamiltonianTerm(1.0, X, 1),), (LindbladTerm(0.0, Z, 1, (0,), "Z"),)
     )
     plan = build_plan(model, 0.1, M=4)
-    real = sample_gate(plan, model, rng)
-    assert_allclose(real.matrix, linalg.kron(closed_propagator(model, 0.1), np.eye(2)), atol=1e-12)
+    gate = gates_from_increments(plan, sample_increments(plan, rng))
+    assert_allclose(gate, linalg.kron(closed_propagator(model, 0.1), np.eye(2)), atol=1e-12)
 
 
 def test_sample_gate_unitary(rng):
@@ -202,9 +205,11 @@ def test_sample_gate_unitary(rng):
 def test_sample_gate_records_increments(rng):
     model = presets.single_spin_model()
     plan = build_plan(model, presets.SINGLE_SPIN_DT, M=8)
-    real = sample_gate(plan, model, rng)
-    assert real.increments.shape == (3, 8)
-    assert_allclose(gates_from_increments(plan, real.increments), real.matrix, atol=1e-14)
+    dw = sample_increments(plan, rng)
+    assert dw.shape == (3, 8)
+    # the same increments rebuild the same gate, alone or in a batch
+    gate = gates_from_increments(plan, dw)
+    assert_allclose(gates_from_increments(plan, dw[None])[0], gate, atol=1e-14)
 
 
 def test_gate_average_matches_expected_channel(rng):
