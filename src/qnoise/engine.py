@@ -11,7 +11,15 @@ space with an ancilla reset, in one of two equivalent modes:
 Reproducibility: every trajectory derives its noise and measurement
 streams from (master_seed, trajectory_index) via a splitmix64-style
 mixer, and aggregation reduces fixed-size chunks in index order, so the
-result is bit-identical for any worker-pool size.
+result is bit-identical for any worker-pool size.  It is not
+bit-identical across chunk sizes: the chunk size sets the order of the
+floating-point reduction.  Chunks are the unit of parallelism, so a run
+that fits in one chunk uses one thread.
+
+Memory: a chunk draws its Wiener increments one block of steps at a time
+into one buffer of at most NOISE_BLOCK_BYTES (or one step, if larger), so
+the noise memory does not grow with n_steps.  Streams are read in order,
+and the values do not depend on the block size.
 """
 from __future__ import annotations
 
@@ -23,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .model import LindbladModel
-from .noisegate import NoiseGatePlan, build_plan, gates_from_increments
+from .noisegate import NoiseGatePlan, build_plan, gates_from_increments, sample_increments
 
 _MASK64 = (1 << 64) - 1
 
@@ -156,23 +164,38 @@ class _ChunkStats:
         self.count += other.count
 
 
-def _draw_chunk_noise(config: RunConfig, plan: NoiseGatePlan, indices: np.ndarray):
-    """Pre-draw Wiener increments and measurement uniforms for a chunk."""
-    B = len(indices)
-    K, M = plan.n_channels, plan.m_nodes
-    inc = np.empty((B, config.n_steps, K, M))
-    uni = np.empty((B, config.n_steps))
-    sigma = np.sqrt(config.dt / M)
-    for b, idx in enumerate(indices):
-        g_noise = np.random.Generator(
-            np.random.PCG64(trajectory_seed(config.master_seed, int(idx), 0))
-        )
-        inc[b] = g_noise.normal(0.0, sigma, size=(config.n_steps, K, M))
-        g_meas = np.random.Generator(
-            np.random.PCG64(trajectory_seed(config.master_seed, int(idx), 1))
-        )
-        uni[b] = g_meas.random(config.n_steps)
-    return inc, uni
+# Byte budget of a chunk's Wiener-increment buffer, refilled one block of steps at a time.
+NOISE_BLOCK_BYTES = 4 << 20
+
+
+def _step_noise(config: RunConfig, plan: NoiseGatePlan, indices: np.ndarray):
+    """Yield each step's Wiener increments (B, K, M) and measurement uniforms (B,).
+
+    Every trajectory's two streams are read in order, one block of steps at
+    a time, into one reused buffer, so the values equal a one-call draw.
+    The yielded arrays are views that the next block overwrites.
+    """
+    B, K, M = len(indices), plan.n_channels, plan.m_nodes
+    n_steps = config.n_steps
+    block = min(n_steps, max(1, NOISE_BLOCK_BYTES // max(1, B * K * M * 8)))
+    inc = np.empty((B, block, K, M))
+    uni = np.empty((B, block))
+
+    def streams(idx):
+        seeds = (trajectory_seed(config.master_seed, int(idx), s) for s in (0, 1))
+        return [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+
+    # A live Generator costs about 5 KB, so the chunk's 2B streams are held
+    # between blocks only when there is more than one block.
+    held = [streams(idx) for idx in indices] if block < n_steps else None
+    for start in range(0, n_steps, block):
+        nb = min(block, n_steps - start)
+        for b, idx in enumerate(indices):
+            g_noise, g_meas = held[b] if held else streams(idx)
+            inc[b, :nb] = sample_increments(plan, g_noise, (nb,))
+            uni[b, :nb] = g_meas.random(nb)
+        for j in range(nb):
+            yield inc[:, j], uni[:, j]
 
 
 def _record(stats: _ChunkStats, step: int, obs_stack, psi=None, rho=None):
@@ -220,7 +243,7 @@ def measure_ancilla(full: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray,
 
 def _run_chunk(config: RunConfig, plan: NoiseGatePlan, obs_stack: np.ndarray,
                indices: np.ndarray) -> _ChunkStats:
-    inc, uni = _draw_chunk_noise(config, plan, indices)
+    noise = _step_noise(config, plan, indices)
     B = len(indices)
     d = config.model.dim
     stats = _new_stats(config, len(obs_stack))
@@ -229,18 +252,18 @@ def _run_chunk(config: RunConfig, plan: NoiseGatePlan, obs_stack: np.ndarray,
     if config.mode == "measure-reset":
         psi = np.broadcast_to(config.initial_vector(), (B, d)).copy()
         _record(stats, 0, obs_stack, psi=psi)
-        for j in range(config.n_steps):
-            gates = gates_from_increments(plan, inc[:, j])
+        for j, (inc, uni) in enumerate(noise):
+            gates = gates_from_increments(plan, inc)
             full = np.zeros((B, 2 * d), dtype=complex)
             full[:, 0::2] = psi
-            psi, outcome1 = measure_ancilla(np.einsum("bij,bj->bi", gates, full), uni[:, j])
+            psi, outcome1 = measure_ancilla(np.einsum("bij,bj->bi", gates, full), uni)
             stats.flips[j] += outcome1.sum()
             _record(stats, j + 1, obs_stack, psi=psi)
     else:  # partial-trace
         rho = np.broadcast_to(config.initial_density(), (B, d, d)).copy()
         _record(stats, 0, obs_stack, rho=rho)
-        for j in range(config.n_steps):
-            gates = gates_from_increments(plan, inc[:, j])
+        for j, (inc, _) in enumerate(noise):
+            gates = gates_from_increments(plan, inc)
             full = np.zeros((B, 2 * d, 2 * d), dtype=complex)
             full[:, 0::2, 0::2] = rho
             full = gates @ full @ gates.conj().transpose(0, 2, 1)

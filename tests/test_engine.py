@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qnoise import linalg, presets
+from qnoise import engine, linalg, presets
 from qnoise.engine import (
     RunConfig,
     TrajectoryError,
@@ -13,6 +15,7 @@ from qnoise.engine import (
     trajectory_seed,
 )
 from qnoise.model import HamiltonianTerm, LindbladModel, LindbladTerm, PauliString
+from qnoise.noisegate import build_plan
 from qnoise.oracle import evolve_exact
 
 from conftest import random_pure
@@ -199,3 +202,62 @@ def test_reset_zero_norm_branch_raises(rng):
     # never selected; a zero state is the only way to hit it
     with pytest.raises(TrajectoryError):
         measure_ancilla(np.zeros((1, 4), dtype=complex), rng.random(1))
+
+
+def bulk_noise_reference(config, plan, indices):
+    """Each trajectory's noise and measurement streams drawn in one call:
+    increments (B, n_steps, K, M) and uniforms (B, n_steps)."""
+    sigma = np.sqrt(config.dt / plan.m_nodes)
+    inc, uni = [], []
+    for idx in indices:
+        g_noise, g_meas = (
+            np.random.Generator(np.random.PCG64(trajectory_seed(config.master_seed, int(idx), s)))
+            for s in (0, 1)
+        )
+        inc.append(g_noise.normal(0.0, sigma, size=(config.n_steps, plan.n_channels, plan.m_nodes)))
+        uni.append(g_meas.random(config.n_steps))
+    return np.array(inc), np.array(uni)
+
+
+def two_molecule_config(**kw):
+    return RunConfig(model=presets.two_molecule_model(), dt=presets.TWO_MOLECULE_DT,
+                     observables=[("ZZ", linalg.kron(Z, Z))], **kw)
+
+
+def test_streamed_noise_equals_bulk_draw(monkeypatch):
+    cfg = two_molecule_config(n_steps=7, n_realizations=24, master_seed=5, m_nodes=16)
+    plan = build_plan(cfg.model, cfg.dt, cfg.trotter, cfg.m_nodes)
+    indices = np.arange(3, 27)
+    inc_ref, uni_ref = bulk_noise_reference(cfg, plan, indices)
+    step_bytes = len(indices) * plan.n_channels * plan.m_nodes * 8
+    # One block; three steps per block with a short last block; one step per block.
+    for budget in (engine.NOISE_BLOCK_BYTES, 3 * step_bytes, 1):
+        monkeypatch.setattr(engine, "NOISE_BLOCK_BYTES", budget)
+        steps = [(inc.copy(), uni.copy()) for inc, uni in engine._step_noise(cfg, plan, indices)]
+        assert np.array_equal(np.stack([inc for inc, _ in steps], axis=1), inc_ref)
+        assert np.array_equal(np.stack([uni for _, uni in steps], axis=1), uni_ref)
+
+
+@pytest.mark.parametrize("mode", ["measure-reset", "partial-trace"])
+def test_ensemble_independent_of_noise_block(monkeypatch, mode):
+    cfg = two_molecule_config(n_steps=6, n_realizations=20, master_seed=8, m_nodes=16,
+                              mode=mode, record_rho=True, chunk_size=8, initial_state=np.eye(4)[2])
+    one_block = run_ensemble(cfg)
+    monkeypatch.setattr(engine, "NOISE_BLOCK_BYTES", 1)
+    one_step_blocks = run_ensemble(cfg)
+    for field in ("means", "stderrs", "flip_fraction", "rho_mean", "rho_second_moment"):
+        assert np.array_equal(getattr(one_block, field), getattr(one_step_blocks, field)), field
+
+
+def test_noise_memory_does_not_grow_with_steps():
+    def peak_bytes(n_steps):
+        cfg = two_molecule_config(n_steps=n_steps, n_realizations=32, master_seed=3, m_nodes=256)
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak_bytes(16), peak_bytes(64)
+    assert long <= 1.25 * short, f"peak {short / 2**20:.1f} MB at 16 steps, {long / 2**20:.1f} MB at 64"
