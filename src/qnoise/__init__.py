@@ -2,7 +2,7 @@
 
 from . import bounds, engine, linalg, model, noisegate, oracle, presets
 from .config import load_model
-from .engine import EnsembleResult, RunConfig, run_ensemble, run_trajectory
+from .engine import EnsembleResult, RunConfig, run_ensemble
 from .model import LindbladModel
 from .noisegate import NoiseGatePlan, build_plan, expected_channel
 from .oracle import evolve_exact, evolve_rk4, step_sa
@@ -27,6 +27,5 @@ __all__ = [
     "oracle",
     "presets",
     "run_ensemble",
-    "run_trajectory",
     "step_sa",
 ]

@@ -276,27 +276,6 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
-def model_to_json(model: LindbladModel) -> dict:
-    """Inverse of load_model."""
-    return {
-        "n": model.n,
-        "hamiltonian": [
-            {"matrix": matrix_to_json(t.operator), "coeff": t.coefficient, "label": t.label}
-            for t in model.hamiltonian_terms
-        ],
-        "lindblad": [
-            {
-                "matrix": matrix_to_json(t.operator),
-                "rate": t.rate,
-                "support": list(t.support),
-                "label": t.label,
-            }
-            for t in model.lindblad_terms
-        ],
-        "units": {"time": "s", "rate": "1/s"},
-    }
-
-
 @dataclass(frozen=True)
 class Config:
     """A checked config; `run` and `experiment` hold every key, defaults filled in."""

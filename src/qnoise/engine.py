@@ -14,7 +14,9 @@ mixer, and aggregation reduces fixed-size chunks in index order, so the
 result is bit-identical for any worker-pool size.  It is not
 bit-identical across chunk sizes: the chunk size sets the order of the
 floating-point reduction.  Chunks are the unit of parallelism, so a run
-that fits in one chunk uses one thread.
+that fits in one chunk uses one thread.  Standard errors come from
+centred sums of squares, merged pairwise across chunks, so they agree
+across chunk sizes to rounding even when the spread is tiny.
 
 Memory: a chunk draws its Wiener increments one block of steps at a time
 into one buffer of at most NOISE_BLOCK_BYTES (or one step, if larger), so
@@ -24,7 +26,7 @@ and the values do not depend on the block size.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -127,7 +129,6 @@ class EnsembleResult:
     stderrs: np.ndarray                     # (n_obs, n_steps+1)
     flip_fraction: np.ndarray               # (n_steps,) ancilla outcome-1 rate
     rho_mean: Optional[np.ndarray]          # (n_steps+1, d, d) if recorded
-    rho_second_moment: Optional[np.ndarray] # (n_steps+1, d^2, d^2) if recorded
     n_realizations: int
     master_seed: int
     mode: str
@@ -145,22 +146,25 @@ class TrajectoryError(RuntimeError):
 
 @dataclass
 class _ChunkStats:
-    """Running sums over trajectories; reduction over chunks is exact."""
+    """Sums over a run of trajectories, merged chunk by chunk in index order."""
 
     obs_sum: np.ndarray     # (n_obs, n_steps+1)
-    obs_sumsq: np.ndarray   # (n_obs, n_steps+1)
+    obs_m2: np.ndarray      # (n_obs, n_steps+1) squared deviations from the chunk mean
     flips: np.ndarray       # (n_steps,)
     rho_sum: Optional[np.ndarray]
-    rho_outer_sum: Optional[np.ndarray]
     count: int
 
     def add(self, other: "_ChunkStats") -> None:
+        # Pairwise update of the centred sums (Chan, Golub & LeVeque 1983):
+        # unlike sum(x^2) - sum(x)^2/n it does not cancel when the spread is tiny.
+        if self.count:
+            delta = other.obs_sum / other.count - self.obs_sum / self.count
+            self.obs_m2 += delta**2 * (self.count * other.count / (self.count + other.count))
+        self.obs_m2 += other.obs_m2
         self.obs_sum += other.obs_sum
-        self.obs_sumsq += other.obs_sumsq
         self.flips += other.flips
         if self.rho_sum is not None:
             self.rho_sum += other.rho_sum
-            self.rho_outer_sum += other.rho_outer_sum
         self.count += other.count
 
 
@@ -203,27 +207,21 @@ def _record(stats: _ChunkStats, step: int, obs_stack, psi=None, rho=None):
         rho = np.einsum("bi,bj->bij", psi, psi.conj())
     if obs_stack.size:
         vals = np.einsum("oij,bji->ob", obs_stack, rho).real
-        stats.obs_sum[:, step] += vals.sum(axis=1)
-        stats.obs_sumsq[:, step] += (vals**2).sum(axis=1)
+        total = vals.sum(axis=1)
+        stats.obs_sum[:, step] += total
+        # Two passes over the chunk's values of this step: centre, then square.
+        stats.obs_m2[:, step] += ((vals - (total / len(rho))[:, None]) ** 2).sum(axis=1)
     if stats.rho_sum is not None:
         stats.rho_sum[step] += rho.sum(axis=0)
-        d = rho.shape[-1]
-        # Column-stacking vec of each trajectory state; second moment
-        # yields a standard error for any linear observable afterwards.
-        v = rho.transpose(0, 2, 1).reshape(len(rho), d * d)
-        stats.rho_outer_sum[step] += np.einsum("bi,bj->ij", v, v.conj())
 
 
 def _new_stats(config: RunConfig, n_obs: int) -> _ChunkStats:
     d = config.model.dim
     return _ChunkStats(
         obs_sum=np.zeros((n_obs, config.n_steps + 1)),
-        obs_sumsq=np.zeros((n_obs, config.n_steps + 1)),
+        obs_m2=np.zeros((n_obs, config.n_steps + 1)),
         flips=np.zeros(config.n_steps),
         rho_sum=np.zeros((config.n_steps + 1, d, d), complex) if config.record_rho else None,
-        rho_outer_sum=(
-            np.zeros((config.n_steps + 1, d * d, d * d), complex) if config.record_rho else None
-        ),
         count=0,
     )
 
@@ -301,11 +299,7 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
 
     n = total.count
     means = total.obs_sum / n
-    if n > 1:
-        var = (total.obs_sumsq - total.obs_sum**2 / n) / (n - 1)
-        stderrs = np.sqrt(np.maximum(var, 0.0) / n)
-    else:
-        stderrs = np.zeros_like(means)
+    stderrs = np.sqrt(total.obs_m2 / (n - 1) / n) if n > 1 else np.zeros_like(means)
 
     return EnsembleResult(
         times=np.arange(config.n_steps + 1) * config.dt,
@@ -314,48 +308,8 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
         stderrs=stderrs,
         flip_fraction=total.flips / n,
         rho_mean=total.rho_sum / n if config.record_rho else None,
-        rho_second_moment=(
-            total.rho_outer_sum / n if config.record_rho else None
-        ),
         n_realizations=n,
         master_seed=config.master_seed,
         mode=config.mode,
     )
 
-
-def run_trajectory(config: RunConfig, realization_index: int) -> np.ndarray:
-    """Per-step system density matrices of one realization, shape (n_steps+1, d, d)."""
-    plan = build_plan(config.model, config.dt, config.trotter, config.m_nodes)
-    d = config.model.dim
-    single = replace(
-        config, n_realizations=1, observables=(), record_rho=True, threads=1, chunk_size=1
-    )
-    obs_stack = np.zeros((0, d, d), complex)
-    stats = _run_chunk(single, plan, obs_stack, np.array([realization_index]))
-    return stats.rho_sum
-
-
-def estimate_observable(result: EnsembleResult, op, step: int) -> tuple[float, float]:
-    """(mean, standard error) of an observable at a recorded step.
-
-    `op` is either the label of a configured observable or a Hermitian
-    matrix; the matrix path needs record_rho so that the per-trajectory
-    variance can be reconstructed from the stored second moment.
-    """
-    n_steps = len(result.times) - 1
-    if not 0 <= step <= n_steps:
-        raise IndexError(f"step {step} out of range [0, {n_steps}]")
-    if isinstance(op, str):
-        return result.observable(op, step)
-    if result.rho_mean is None:
-        raise ValueError("matrix observables require record_rho=True")
-    op = np.asarray(op, dtype=complex)
-    mean = float(np.trace(op @ result.rho_mean[step]).real)
-    # Tr(O rho) = vec(O^T) . vec(rho) in the column-stacking convention.
-    o = op.T.reshape(-1)
-    second = float((o.conj() @ result.rho_second_moment[step] @ o).real)
-    n = result.n_realizations
-    if n < 2:
-        return mean, 0.0
-    var = max(0.0, (second - mean**2) * n / (n - 1))
-    return mean, float(np.sqrt(var / n))

@@ -7,7 +7,6 @@ superoperators up to ~4096x4096, so everything is dense.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 def _atol(a: np.ndarray, tol: float) -> float:
@@ -20,40 +19,9 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     return a.shape[0] == a.shape[1] and np.max(np.abs(a - a.conj().T)) <= _atol(a, tol)
 
 
-def is_anti_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and np.max(np.abs(a + a.conj().T)) <= _atol(a, tol)
-
-
-def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
-    a = np.asarray(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product a (x) b."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def matexp(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Matrix exponential.
-
-    Hermitian and anti-Hermitian inputs go through an eigendecomposition;
-    everything else falls back to scipy's scaling-and-squaring Pade
-    implementation.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matexp requires a square matrix, got shape {a.shape}")
-    if is_anti_hermitian(a, tol):
-        w, v = np.linalg.eigh(1j * a)
-        return (v * np.exp(-1j * w)) @ v.conj().T
-    if is_hermitian(a, tol):
-        w, v = np.linalg.eigh(a)
-        return (v * np.exp(w)) @ v.conj().T
-    return scipy.linalg.expm(a)
 
 
 def matexp_antihermitian(a: np.ndarray) -> np.ndarray:
@@ -144,10 +112,3 @@ def assert_density_matrix(
     if min_eig < eig_floor:
         raise ValueError(f"minimum eigenvalue {min_eig:.3e} below floor {eig_floor:.1e}")
 
-
-def is_density_matrix(rho: np.ndarray, **kwargs) -> bool:
-    try:
-        assert_density_matrix(rho, **kwargs)
-    except ValueError:
-        return False
-    return True

@@ -7,7 +7,6 @@ models simply use rate/frequency values with an implied unit time scale.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,9 +158,3 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
         )
     return gen
 
-
-def k_local_count(n: int, m: int) -> int:
-    """Number of m-qubit supports among n qubits, C(n, m)."""
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    return math.comb(n, m)

@@ -94,9 +94,7 @@ class NoiseGatePlan:
     """
 
     dt: float
-    trotter: str
     m_nodes: int                       # M
-    nodes: np.ndarray                  # (M+1,) times in [0, dt]
     rates: np.ndarray                  # (K,) gamma_k
     l_nodes: np.ndarray                # (K, M+1, d, d)
     u_full: np.ndarray                 # kron(U(dt), I_2), shape (2d, 2d)
@@ -114,13 +112,10 @@ def build_plan(
         raise ValueError(f"dt must be positive, got {dt}")
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    nodes = np.linspace(0.0, dt, M + 1)
-    props = closed_propagator(model, nodes, trotter)
+    props = closed_propagator(model, np.linspace(0.0, dt, M + 1), trotter)
     return NoiseGatePlan(
         dt=dt,
-        trotter=trotter,
         m_nodes=M,
-        nodes=nodes,
         rates=np.array([t.rate for t in model.lindblad_terms]),
         l_nodes=_interaction_table(model, props),
         u_full=linalg.kron(props[-1], np.eye(2)),

@@ -2,6 +2,21 @@ import numpy as np
 import pytest
 
 
+def _atol(a, tol):
+    return tol * max(1.0, np.max(np.abs(a)) if a.size else 0.0)
+
+
+def is_anti_hermitian(a, tol=1e-10):
+    a = np.asarray(a)
+    return a.shape[0] == a.shape[1] and np.max(np.abs(a + a.conj().T)) <= _atol(a, tol)
+
+
+def is_unitary(a, tol=1e-10):
+    a = np.asarray(a)
+    eye = np.eye(a.shape[0])
+    return a.shape[0] == a.shape[1] and np.max(np.abs(a.conj().T @ a - eye)) <= _atol(a, tol)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

@@ -12,7 +12,6 @@ from qnoise.bounds import (
     epsilon_p_bound,
     gate_count_estimate,
 )
-from qnoise.model import k_local_count
 from qnoise.noisegate import closed_propagator
 
 from conftest import random_density
@@ -109,11 +108,11 @@ def test_gate_count_simple_substitution():
 
 def test_gate_count_qubit_scaling_vs_binomial_oracle():
     def inputs_for(n):
-        return BoundInputs(K=k_local_count(n, 2), m=2, n=n, gamma=1.0, omega=1.0,
+        return BoundInputs(K=math.comb(n, 2), m=2, n=n, gamma=1.0, omega=1.0,
                            J=1, max_h_norm=1.0, max_L_norm=1.0, dt=0.1, n_steps=10)
 
     eps = 1e-9
-    k2, k4 = k_local_count(2, 2), k_local_count(4, 2)
+    k2, k4 = math.comb(2, 2), math.comb(4, 2)
     expected_ratio = ((k4 * (1 + 15) + 1) * k4**2) / ((k2 * (1 + 15) + 1) * k2**2)
     ratio = gate_count_estimate(inputs_for(4), eps) / gate_count_estimate(inputs_for(2), eps)
     assert ratio == pytest.approx(expected_ratio, rel=1e-6)

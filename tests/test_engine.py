@@ -1,17 +1,17 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from qnoise import engine, linalg, presets
 from qnoise.engine import (
     RunConfig,
     TrajectoryError,
-    estimate_observable,
     measure_ancilla,
     run_ensemble,
-    run_trajectory,
     trajectory_seed,
 )
 from qnoise.model import HamiltonianTerm, LindbladModel, LindbladTerm, PauliString
@@ -68,11 +68,12 @@ def test_run_trajectory_noiseless_rabi():
         1, (HamiltonianTerm(omega / 2, X, 1),), (LindbladTerm(0.0, Z, 1, (0,), "Z"),)
     )
     for mode in ("measure-reset", "partial-trace"):
+        # The mean over one realization is trajectory 0's state at each step.
         cfg = RunConfig(model=model, dt=0.1, n_steps=10, n_realizations=1,
-                        master_seed=5, mode=mode)
-        rhos = run_trajectory(cfg, 0)
+                        master_seed=5, mode=mode, record_rho=True)
+        rhos = run_ensemble(cfg).rho_mean
         for j in range(11):
-            u = linalg.matexp(-1j * (omega / 2) * (0.1 * j) * X)
+            u = expm(-1j * (omega / 2) * (0.1 * j) * X)
             expected = u @ np.diag([1.0, 0.0]).astype(complex) @ u.conj().T
             assert linalg.trace_distance(rhos[j], expected) <= 1e-9
 
@@ -88,12 +89,14 @@ def test_flip_fraction_matches_jump_rate():
 
 
 def test_ensemble_of_one_equals_trajectory():
+    # One measure-reset trajectory stays pure, and its observable is read off its state.
     model = presets.single_spin_model()
     cfg = RunConfig(model=model, dt=1e-6, n_steps=5, n_realizations=1,
                     master_seed=3, record_rho=True, observables=[("Z", Z)])
     res = run_ensemble(cfg)
-    rhos = run_trajectory(cfg, 0)
-    assert_allclose(res.rho_mean, rhos, atol=1e-12)
+    rhos = res.rho_mean
+    assert_allclose(np.einsum("sij,sji->s", rhos, rhos).real, 1.0, atol=1e-12)
+    assert_allclose(res.means[0], np.einsum("ij,sji->s", Z, rhos).real, atol=1e-12)
     assert np.all(res.stderrs == 0.0)
 
 
@@ -133,20 +136,15 @@ def test_averaged_rho_physical():
         linalg.assert_density_matrix(rho)
 
 
-def test_estimate_observable_identity_and_label_paths():
-    cfg = RunConfig(model=dephasing_model(), dt=0.01, n_steps=3,
-                    n_realizations=50, master_seed=1, record_rho=True,
-                    observables=[("Z", Z)])
-    res = run_ensemble(cfg)
-    mean, err = estimate_observable(res, np.eye(2, dtype=complex), 3)
-    assert mean == pytest.approx(1.0, abs=1e-10)
-    assert err == pytest.approx(0.0, abs=1e-10)
-    m1, e1 = estimate_observable(res, "Z", 2)
-    m2, e2 = estimate_observable(res, Z, 2)
-    assert m1 == pytest.approx(m2, abs=1e-10)
-    assert e1 == pytest.approx(e2, abs=1e-10)
-    with pytest.raises(IndexError):
-        estimate_observable(res, "Z", 4)
+def test_stderr_independent_of_chunk_size():
+    # Near <Z> = -1 the spread is tiny: one-pass sums of squares would cancel here.
+    cfg = RunConfig(model=presets.single_spin_model(), dt=presets.SINGLE_SPIN_DT, n_steps=8,
+                    n_realizations=1000, master_seed=1, observables=[("Z", Z)])
+    one_chunk = run_ensemble(replace(cfg, chunk_size=1000))
+    assert np.all(one_chunk.stderrs[0, 1:] > 0)
+    for chunk_size in (1, 7, 64):
+        res = run_ensemble(replace(cfg, chunk_size=chunk_size))
+        assert_allclose(res.stderrs, one_chunk.stderrs, rtol=1e-9, atol=0)
 
 
 def test_conserved_observable_dephasing():
@@ -245,7 +243,7 @@ def test_ensemble_independent_of_noise_block(monkeypatch, mode):
     one_block = run_ensemble(cfg)
     monkeypatch.setattr(engine, "NOISE_BLOCK_BYTES", 1)
     one_step_blocks = run_ensemble(cfg)
-    for field in ("means", "stderrs", "flip_fraction", "rho_mean", "rho_second_moment"):
+    for field in ("means", "stderrs", "flip_fraction", "rho_mean"):
         assert np.array_equal(getattr(one_block, field), getattr(one_step_blocks, field)), field
 
 
