@@ -1,8 +1,8 @@
 """Single-ancilla stochastic-gate simulator for Lindblad open-system dynamics."""
 
 from . import bounds, engine, linalg, model, noisegate, oracle, presets
-from .config import load_model
-from .engine import EnsembleResult, RunConfig, run_ensemble
+from .config import RunConfig, load_model
+from .engine import EnsembleResult, run_ensemble
 from .model import LindbladModel
 from .noisegate import NoiseGatePlan, build_plan, expected_channel
 from .oracle import evolve_exact, evolve_rk4, step_sa

@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass, asdict
 from typing import Optional
 
-from . import linalg
+import numpy as np
+
 from .model import LindbladModel
 
 
@@ -50,7 +51,7 @@ class BoundInputs:
         trotter_order: int = 1,
         exact_unitary: bool = False,
     ) -> "BoundInputs":
-        """Extract scales and norms from a model."""
+        """Extract scales and spectral norms (largest singular values) from a model."""
         rates = [t.rate for t in model.lindblad_terms]
         coeffs = [abs(t.coefficient) for t in model.hamiltonian_terms]
         return cls(
@@ -61,11 +62,11 @@ class BoundInputs:
             omega=max(coeffs, default=0.0),
             J=len(model.hamiltonian_terms),
             max_h_norm=max(
-                (linalg.spectral_norm(t.operator) for t in model.hamiltonian_terms),
+                (np.linalg.svd(t.operator, compute_uv=False)[0] for t in model.hamiltonian_terms),
                 default=0.0,
             ),
             max_L_norm=max(
-                (linalg.spectral_norm(t.operator) for t in model.lindblad_terms),
+                (np.linalg.svd(t.operator, compute_uv=False)[0] for t in model.lindblad_terms),
                 default=0.0,
             ),
             dt=dt,
@@ -138,15 +139,7 @@ class BoundReport:
     gate_count: Optional[int]
 
     def to_json(self) -> dict:
-        return {
-            "inputs": asdict(self.inputs),
-            "eps_p": self.eps_p,
-            "eps_T": self.eps_T,
-            "eps_step": self.eps_step,
-            "eps_global": self.eps_global,
-            "eps_per_step_sum": self.eps_per_step_sum,
-            "gate_count": self.gate_count,
-        }
+        return asdict(self)
 
     def format_text(self) -> str:
         i = self.inputs

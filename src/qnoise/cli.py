@@ -134,7 +134,7 @@ def cmd_sweep_dt(cfg: Config, args) -> int:
         t_qn = linalg.trace_distance(rho_qn, ref)
         t_sa = linalg.trace_distance(rho_sa, ref)
         inputs = _bound_inputs(model, dt, n_step, run["trotter"])
-        bound = n_step * bounds_mod.epsilon_p_bound(inputs)
+        bound = bounds_mod.per_step_sum_bound(inputs)
         rows.append(f"{_fmt(gamma * dt)},{_fmt(t_qn)},{_fmt(t_sa)},{_fmt(bound)}")
         gdts.append(gamma * dt)
         t_qns.append(t_qn)

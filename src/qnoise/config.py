@@ -5,18 +5,21 @@ range or choices, and whether it is required or what its default is.
 `_walk` applies it, so bad input fails the same way everywhere, with a
 `ConfigError` whose path names the field.  What depends on the model's
 qubit count is checked when operators and states are built afterwards.
+`RunConfig`, the engine's input, passes its scalar fields through the same
+`run` kinds, so a library caller gets a config file's checks and paths.
 """
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .engine import MODES, RunConfig
+from . import linalg
 from .model import HamiltonianTerm, LindbladModel, LindbladTerm, PauliString
 from .noisegate import TROTTER_MODES
 from .presets import PRESETS
@@ -31,11 +34,14 @@ class ConfigError(ValueError):
 
 
 def _fail(path: str, expected: str, value):
-    raise ConfigError(path, f"expected {expected}, got {json.dumps(value)[:60]}")
+    # A library caller's numpy values (np.int64(0)) print as their Python equivalents.
+    shown = json.dumps(value, default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v))
+    raise ConfigError(path, f"expected {expected}, got {shown[:60]}")
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    return (isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_))
+            and abs(x) <= sys.float_info.max)
 
 
 # Value kinds: each checks one JSON value on its own and returns it typed.
@@ -114,6 +120,71 @@ class Key(NamedTuple):
 class Section(NamedTuple):
     keys: dict[str, Key]
     one_of: tuple[str, ...] = ()   # at most one of these; one is needed unless one has a default
+
+
+MODES = ("measure-reset", "partial-trace")
+
+
+@dataclass
+class RunConfig:
+    """One ensemble run.  Scalar fields pass through the `run` schema's kinds,
+    so a bad value raises the ConfigError a config file would give."""
+
+    model: LindbladModel
+    dt: float
+    n_steps: int
+    n_realizations: int = 1
+    master_seed: int = 0
+    mode: str = "measure-reset"
+    m_nodes: int = 8
+    trotter: str = "exact"
+    observables: Sequence[tuple[str, np.ndarray]] = ()
+    initial_state: Optional[np.ndarray] = None   # statevector (d,) or density matrix (d,d)
+    record_rho: bool = False
+    threads: int = 1
+    chunk_size: int = 256
+
+    def __post_init__(self):
+        for name in ("dt", "n_steps", "n_realizations", "master_seed", "mode", "m_nodes",
+                     "trotter", "record_rho", "threads", "chunk_size"):
+            key = "seed" if name == "master_seed" else name
+            setattr(self, name, SCHEMA["run"].keys[key].kind(getattr(self, name), f"run.{key}"))
+        d = self.model.dim
+        for label, op in self.observables:
+            op = np.asarray(op)
+            if op.shape != (d, d):
+                raise ValueError(f"observable {label!r} has shape {op.shape}, expected {(d, d)}")
+            if not linalg.is_hermitian(op, 1e-10):
+                raise ValueError(f"observable {label!r} is not Hermitian")
+
+    def initial_vector(self) -> np.ndarray:
+        """System statevector; rejects mixed inputs (needed by measure-reset)."""
+        d = self.model.dim
+        if self.initial_state is None:
+            psi = np.zeros(d, dtype=complex)
+            psi[0] = 1.0
+            return psi
+        st = np.asarray(self.initial_state, dtype=complex)
+        if st.shape == (d,):
+            norm = np.linalg.norm(st)
+            if not np.isclose(norm, 1.0, atol=1e-9):
+                raise ValueError(f"initial statevector norm {norm} != 1")
+            return st / norm
+        raise ValueError(
+            f"measure-reset mode needs a pure initial statevector of shape ({d},), "
+            f"got shape {st.shape}"
+        )
+
+    def initial_density(self) -> np.ndarray:
+        d = self.model.dim
+        if self.initial_state is None or np.asarray(self.initial_state).shape == (d,):
+            psi = self.initial_vector()
+            return np.outer(psi, psi.conj())
+        rho = np.asarray(self.initial_state, dtype=complex)
+        if rho.shape != (d, d):
+            raise ValueError(f"initial state has shape {rho.shape}, expected ({d},) or ({d},{d})")
+        linalg.assert_density_matrix(rho)
+        return rho
 
 
 _RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
@@ -291,7 +362,10 @@ def _observable(entry: dict, path: str, n: int) -> tuple[str, np.ndarray]:
     label = entry["pauli"].letters if entry["pauli"] is not None else "obs"
     if isinstance(entry["projector"], str):
         label = f"P{entry['projector']}"
-    return entry["label"] or label, _operator(entry, path, n)[0]
+    op = _operator(entry, path, n)[0]
+    if not linalg.is_hermitian(op, 1e-10):   # only a given matrix can fail this
+        raise ConfigError(f"{path}.matrix", "not Hermitian")
+    return entry["label"] or label, op
 
 
 def load(path, command: str, seed: Optional[int] = None,
@@ -326,7 +400,4 @@ def load(path, command: str, seed: Optional[int] = None,
     if command == "sampling-error" and not run["observables"]:
         raise ConfigError("run.observables", "sampling-error needs one observable")
     fields = {key: value for key, value in run.items() if key != "seed"}
-    try:
-        return Config(model, run, exp, RunConfig(model=model, master_seed=run["seed"], **fields))
-    except ValueError as exc:
-        raise ConfigError("run", str(exc)) from None
+    return Config(model, run, exp, RunConfig(model=model, master_seed=run["seed"], **fields))

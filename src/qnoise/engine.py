@@ -5,8 +5,12 @@ space with an ancilla reset, in one of two equivalent modes:
 
 - measure-reset: keep a pure statevector, measure the ancilla in the
   computational basis and flip outcome 1 back to |0>.
-- partial-trace: keep the full density matrix, trace the ancilla out and
+- partial-trace: keep the system density matrix, trace the ancilla out and
   re-append it as |0><0|.
+
+Since the ancilla always enters in |0>, a step applies only the gate's
+ancilla-0 columns, a 2d x d isometry, to the system state.  The run is
+described by `config.RunConfig`, which checks its fields on construction.
 
 Reproducibility: every trajectory derives its noise and measurement
 streams from (master_seed, trajectory_index) via a splitmix64-style
@@ -27,12 +31,12 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import linalg
-from .model import LindbladModel
+from .config import RunConfig
 from .noisegate import NoiseGatePlan, build_plan, gates_from_increments, sample_increments
 
 _MASK64 = (1 << 64) - 1
@@ -49,76 +53,6 @@ def trajectory_seed(master_seed: int, index: int, stream: int) -> int:
     """Decorrelated 64-bit seed for one (trajectory, stream) pair."""
     s = _splitmix64((master_seed & _MASK64) ^ _splitmix64(index & _MASK64))
     return _splitmix64(s ^ _splitmix64((stream ^ 0xD1B54A32D192ED03) & _MASK64))
-
-
-MODES = ("measure-reset", "partial-trace")
-
-
-@dataclass
-class RunConfig:
-    model: LindbladModel
-    dt: float
-    n_steps: int
-    n_realizations: int = 1
-    master_seed: int = 0
-    mode: str = "measure-reset"
-    m_nodes: int = 8
-    trotter: str = "exact"
-    observables: Sequence[tuple[str, np.ndarray]] = ()
-    initial_state: Optional[np.ndarray] = None   # statevector (d,) or density matrix (d,d)
-    record_rho: bool = False
-    threads: int = 1
-    chunk_size: int = 1024
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.n_realizations < 1:
-            raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        d = self.model.dim
-        for label, op in self.observables:
-            op = np.asarray(op)
-            if op.shape != (d, d):
-                raise ValueError(f"observable {label!r} has shape {op.shape}, expected {(d, d)}")
-            if not linalg.is_hermitian(op, 1e-10):
-                raise ValueError(f"observable {label!r} is not Hermitian")
-
-    def initial_vector(self) -> np.ndarray:
-        """System statevector; rejects mixed inputs (needed by measure-reset)."""
-        d = self.model.dim
-        if self.initial_state is None:
-            psi = np.zeros(d, dtype=complex)
-            psi[0] = 1.0
-            return psi
-        st = np.asarray(self.initial_state, dtype=complex)
-        if st.shape == (d,):
-            norm = np.linalg.norm(st)
-            if not np.isclose(norm, 1.0, atol=1e-9):
-                raise ValueError(f"initial statevector norm {norm} != 1")
-            return st / norm
-        raise ValueError(
-            f"measure-reset mode needs a pure initial statevector of shape ({d},), "
-            f"got shape {st.shape}"
-        )
-
-    def initial_density(self) -> np.ndarray:
-        d = self.model.dim
-        if self.initial_state is None or np.asarray(self.initial_state).shape == (d,):
-            psi = self.initial_vector()
-            return np.outer(psi, psi.conj())
-        rho = np.asarray(self.initial_state, dtype=complex)
-        if rho.shape != (d, d):
-            raise ValueError(f"initial state has shape {rho.shape}, expected ({d},) or ({d},{d})")
-        linalg.assert_density_matrix(rho)
-        return rho
 
 
 @dataclass
@@ -202,9 +136,9 @@ def _step_noise(config: RunConfig, plan: NoiseGatePlan, indices: np.ndarray):
             yield inc[:, j], uni[:, j]
 
 
-def _record(stats: _ChunkStats, step: int, obs_stack, psi=None, rho=None):
-    if rho is None:
-        rho = np.einsum("bi,bj->bij", psi, psi.conj())
+def _record(stats: _ChunkStats, step: int, obs_stack, state: np.ndarray):
+    """Add one step's (B, d) statevectors or (B, d, d) density matrices."""
+    rho = state if state.ndim == 3 else np.einsum("bi,bj->bij", state, state.conj())
     if obs_stack.size:
         vals = np.einsum("oij,bji->ob", obs_stack, rho).real
         total = vals.sum(axis=1)
@@ -241,34 +175,26 @@ def measure_ancilla(full: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray,
 
 def _run_chunk(config: RunConfig, plan: NoiseGatePlan, obs_stack: np.ndarray,
                indices: np.ndarray) -> _ChunkStats:
-    noise = _step_noise(config, plan, indices)
     B = len(indices)
     d = config.model.dim
     stats = _new_stats(config, len(obs_stack))
     stats.count = B
-
-    if config.mode == "measure-reset":
-        psi = np.broadcast_to(config.initial_vector(), (B, d)).copy()
-        _record(stats, 0, obs_stack, psi=psi)
-        for j, (inc, uni) in enumerate(noise):
-            gates = gates_from_increments(plan, inc)
-            full = np.zeros((B, 2 * d), dtype=complex)
-            full[:, 0::2] = psi
-            psi, outcome1 = measure_ancilla(np.einsum("bij,bj->bi", gates, full), uni)
+    measure = config.mode == "measure-reset"
+    state = config.initial_vector() if measure else config.initial_density()
+    state = np.broadcast_to(state, (B,) + state.shape).copy()
+    _record(stats, 0, obs_stack, state)
+    for j, (inc, uni) in enumerate(_step_noise(config, plan, indices)):
+        # The ancilla enters in |0>, so only the gate's ancilla-0 columns act: a (2d, d) isometry.
+        cols = gates_from_increments(plan, inc)[:, :, 0::2]
+        if measure:
+            state, outcome1 = measure_ancilla(np.einsum("bij,bj->bi", cols, state), uni)
             stats.flips[j] += outcome1.sum()
-            _record(stats, j + 1, obs_stack, psi=psi)
-    else:  # partial-trace
-        rho = np.broadcast_to(config.initial_density(), (B, d, d)).copy()
-        _record(stats, 0, obs_stack, rho=rho)
-        for j, (inc, _) in enumerate(noise):
-            gates = gates_from_increments(plan, inc)
-            full = np.zeros((B, 2 * d, 2 * d), dtype=complex)
-            full[:, 0::2, 0::2] = rho
-            full = gates @ full @ gates.conj().transpose(0, 2, 1)
+        else:
+            full = cols @ state @ cols.conj().transpose(0, 2, 1)
             # Ancilla outcome-1 weight before the trace, for the audit trail.
             stats.flips[j] += np.einsum("bii->b", full[:, 1::2, 1::2]).real.sum()
-            rho = linalg.partial_trace_ancilla(full, d)
-            _record(stats, j + 1, obs_stack, rho=rho)
+            state = linalg.partial_trace_ancilla(full, d)
+        _record(stats, j + 1, obs_stack, state)
     return stats
 
 

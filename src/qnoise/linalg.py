@@ -19,11 +19,6 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     return a.shape[0] == a.shape[1] and np.max(np.abs(a - a.conj().T)) <= _atol(a, tol)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a (x) b."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def matexp_antihermitian(a: np.ndarray) -> np.ndarray:
     """Batched exp(kron(a, s+) - kron(a^dag, s-)) for blocks a of shape (..., d, d).
 
@@ -69,14 +64,6 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     diff = rho - sigma
     diff = 0.5 * (diff + diff.conj().T)
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
-
-
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

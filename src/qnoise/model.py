@@ -101,17 +101,10 @@ class LindbladModel:
     def dim(self) -> int:
         return 2 ** self.n
 
-    def dissipator_supports(self) -> set[tuple[int, ...]]:
-        """Distinct qubit supports among the dissipator terms."""
-        supports = set()
-        for t in self.lindblad_terms:
-            supports.add(t.support if t.support else tuple(range(self.n)))
-        return supports
-
     @property
     def k_local(self) -> int:
-        """Number of distinct m-qubit supports among dissipator terms (K)."""
-        return len(self.dissipator_supports())
+        """Number of distinct qubit supports among dissipator terms (K); no support means all."""
+        return len({t.support or tuple(range(self.n)) for t in self.lindblad_terms})
 
     @property
     def max_locality(self) -> int:

@@ -10,9 +10,10 @@ path on an M-node left-endpoint grid s_r = r*dt/M.  The ancilla is the
 last tensor factor, so a full index decomposes as sys*2 + anc.
 
 Everything is assembled from one table of d x d interaction-picture
-operators L_k(s_r) = U(s_r)^dag L_k U(s_r) (`NoiseGatePlan.l_nodes`),
-filled in one batched pass from one eigendecomposition of H (of each
-Hamiltonian term under Trotterization).  With SIGMA_PLUS = |1><0| the
+operators L_k(s_r) = U(s_r)^dag L_k U(s_r), r = 0..M-1
+(`NoiseGatePlan.l_nodes`, shape (K, M, d, d)), filled in one batched
+pass from one eigendecomposition of H (of each Hamiltonian term under
+Trotterization).  With SIGMA_PLUS = |1><0| the
 ancilla blocks of sqrt(gamma_k) S_k are [[0, -A^dag], [A, 0]], where
 A = sqrt(gamma_k) sum_r L_k(s_r) dW_r is formed for a whole batch of
 increments by one real GEMM against the table, and the SVD
@@ -88,15 +89,15 @@ def coupling_operator(L_s: np.ndarray) -> np.ndarray:
 class NoiseGatePlan:
     """Per-step precomputation shared by all trajectories.
 
-    l_nodes[k, r] is the d x d operator L_k(s_r) at the nodes
-    s_r = r*dt/M, r = 0..M.  The sampler and the expected channel both
-    use the left endpoints r = 0..M-1.
+    l_nodes[k, r] is the d x d operator L_k(s_r) at the left-endpoint
+    nodes s_r = r*dt/M, r = 0..M-1, which the sampler and the expected
+    channel both read.
     """
 
     dt: float
     m_nodes: int                       # M
     rates: np.ndarray                  # (K,) gamma_k
-    l_nodes: np.ndarray                # (K, M+1, d, d)
+    l_nodes: np.ndarray                # (K, M, d, d)
     u_full: np.ndarray                 # kron(U(dt), I_2), shape (2d, 2d)
     system_dim: int
 
@@ -117,8 +118,8 @@ def build_plan(
         dt=dt,
         m_nodes=M,
         rates=np.array([t.rate for t in model.lindblad_terms]),
-        l_nodes=_interaction_table(model, props),
-        u_full=linalg.kron(props[-1], np.eye(2)),
+        l_nodes=_interaction_table(model, props[:M]),
+        u_full=np.kron(props[-1], np.eye(2)),
         system_dim=model.dim,
     )
 
@@ -142,7 +143,7 @@ def gates_from_increments(plan: NoiseGatePlan, increments: np.ndarray) -> np.nda
     gate = np.broadcast_to(plan.u_full, batch + (2 * d, 2 * d)).copy()
     for k in np.flatnonzero(plan.rates):
         # Real GEMM: (..., M) increments against the table viewed as (M, 2d^2) reals.
-        table = plan.l_nodes[k, :M].reshape(M, d * d).view(np.float64)
+        table = plan.l_nodes[k].reshape(M, d * d).view(np.float64)
         a = (increments[..., k, :] @ table).view(complex).reshape(batch + (d, d))
         gate = gate @ linalg.matexp_antihermitian(np.sqrt(plan.rates[k]) * a)
     return gate
@@ -163,7 +164,7 @@ def expected_channel(
     plan = build_plan(model, dt, trotter, M)
     d = model.dim
     active = np.flatnonzero(plan.rates)
-    pieces = plan.l_nodes[active, :M]                # advanced indexing: a copy
+    pieces = plan.l_nodes[active]                    # advanced indexing: a copy
     pieces *= np.sqrt(plan.rates[active] * dt / M)[:, None, None, None]
     flat = pieces.reshape(-1, d * d)                 # rows p, columns (i, j)
     # jumps[a, b, c, e] = sum_p conj(B_p[a, b]) B_p[c, e]; G is its trace over a = c.

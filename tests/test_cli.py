@@ -4,14 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from qnoise.bounds import BoundInputs, bound_report
+from qnoise.bounds import BoundInputs, bound_report, per_step_sum_bound
 from qnoise.cli import main
 from qnoise.config import SCHEMA, load, load_model
 from qnoise.engine import RunConfig, run_ensemble
 from qnoise.model import PauliString
 from qnoise.noisegate import closed_propagator
-from qnoise.presets import single_spin_model
+from qnoise.presets import single_spin_model, two_molecule_model
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -141,6 +142,23 @@ def test_sweep_dt_output_and_bound(tmp_path):
         assert t_sa > t_qn
 
 
+def test_sweep_dt_bound_follows_run_trotter(tmp_path):
+    # bound_qn is n (eps_p + eps_T); it used to leave out the Trotter term.
+    gamma_dts = [1e-4, 1e-3]
+    bound = {}
+    for trotter in ("exact", "order-1"):
+        doc = {"model": {"preset": "two-molecule"}, "run": {"trotter": trotter},
+               "experiment": {"gamma_dt_values": gamma_dts, "m_nodes": 16}}
+        out = tmp_path / trotter
+        main(["sweep-dt", write_config(tmp_path, doc, f"{trotter}.json"), "--out-dir", str(out)])
+        bound[trotter] = [float(row[3]) for row in parse_csv(out / "sweep.csv")[1]]
+    model = two_molecule_model()
+    gamma = max(t.rate for t in model.lindblad_terms)
+    for gdt, exact, order1 in zip(gamma_dts, bound["exact"], bound["order-1"]):
+        assert order1 == per_step_sum_bound(BoundInputs.from_model(model, gdt / gamma, 1))
+        assert order1 > exact
+
+
 def test_sweep_dt_total_time_composition(tmp_path):
     doc = {
         "model": {"preset": "single-spin"},
@@ -224,6 +242,14 @@ def test_bad_observable_and_state_errors(tmp_path):
         main(["simulate", cfg])
 
 
+def test_initial_state_amplitudes_are_normalised(tmp_path):
+    cfg = write_config(tmp_path, small_sim_config(extra_run={"initial_state": [[3, 0], [4, 0]]}))
+    assert_allclose(load(cfg, "simulate").run["initial_state"], [0.6, 0.8], rtol=0, atol=1e-15)
+    main(["simulate", cfg, "--out-dir", str(tmp_path)])
+    _, rows = parse_csv(tmp_path / "result.csv")
+    assert float(rows[0][3]) == pytest.approx(0.6**2 - 0.8**2, abs=1e-15)   # <Z> at step 0
+
+
 def test_unknown_preset(tmp_path):
     cfg = write_config(tmp_path, {"model": {"preset": "bogus"}, "run": {"dt": 1, "n_steps": 1}})
     with pytest.raises(SystemExit, match="preset"):
@@ -292,6 +318,8 @@ def _set(doc, dotted, value):
 # Small experiment sections, so that a check that fails to stop a run stays quick.
 EXPERIMENT = {"sweep-dt": {"m_nodes": 8}, "sampling-error": {"n_r_values": [4, 8], "repetitions": 2}}
 INLINE_H = [{"pauli": "X", "coeff": 1.0}]
+NILPOTENT = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]   # [[0, 1], [0, 0]]: not Hermitian
+EYE4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
 
 
 # Each row: command, config key set on a small single-spin config, its
@@ -320,6 +348,23 @@ BAD_INPUT = [
     # One point leaves no log-log slope to fit [printed a made-up slope].
     ("sweep-dt", "experiment.dt_values", [1e-6], r"experiment\.dt_values"),
     ("sampling-error", "experiment.n_r_values", [4], r"experiment\.n_r_values"),
+    ("simulate", "run.observables", [{"matrix": NILPOTENT}],
+     r"run\.observables\[0\]\.matrix"),                         # [named run]
+    # Rejection branches no other test runs.
+    ("simulate", "model", {"n": 1, "hamiltonian": [{**INLINE_H[0], "support": [0]}]},
+     r"model\.hamiltonian\[0\]\.support"),
+    ("simulate", "model", {"n": 1, "hamiltonian": [{"matrix": EYE4, "coeff": 1.0}]},
+     r"model\.hamiltonian\[0\]\.matrix"),
+    ("simulate", "model", {"n": 1, "hamiltonian": [{"matrix": [[[1, 0], [0, 0]], [[0, 0]]],
+                                                    "coeff": 1.0}]},
+     r"model\.hamiltonian\[0\]\.matrix"),
+    ("simulate", "model.hamiltonian", INLINE_H, r"model\.hamiltonian"),
+    ("simulate", "model", {"n": 1, "hamiltonian": [{"matrix": NILPOTENT, "coeff": 1.0}]},
+     r"model\.hamiltonian\[0\]"),
+    ("simulate", "", [], r"document"),
+    ("simulate", "run.initial_state", [[0, 0], [0, 0]], r"run\.initial_state"),
+    ("sweep-dt", "model", {"n": 1, "hamiltonian": INLINE_H}, r"model"),
+    ("sampling-error", "run.observables", [], r"run\.observables"),
 ]
 
 
@@ -330,7 +375,10 @@ BAD_INPUT = [
 def test_bad_input_names_its_field(tmp_path, command, key, value, path):
     doc = small_sim_config()
     doc["experiment"] = dict(EXPERIMENT.get(command, {}))
-    _set(doc, key, value)
+    if key:
+        _set(doc, key, value)
+    else:   # the whole document
+        doc = value
     cfg = write_config(tmp_path, doc)
     with pytest.raises(SystemExit) as exc:
         main([command, cfg, "--out-dir", str(tmp_path)])
@@ -386,3 +434,11 @@ def test_readme_documents_every_config_key():
         for key in schema.keys:
             dotted = f"{name}.{key}" if name else key
             assert f"`{dotted}`" in section, f"README Configuration lacks `{dotted}`"
+
+
+def test_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library", 1)[1].split("\n## ", 1)[0]
+    namespace = {}
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], namespace)
+    assert -1.0 <= namespace["mean"] <= 1.0 and namespace["err"] > 0

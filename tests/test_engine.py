@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from qnoise import engine, linalg, presets
+from qnoise.config import ConfigError
 from qnoise.engine import (
     RunConfig,
     TrajectoryError,
@@ -191,6 +192,24 @@ def test_config_validation():
         RunConfig(model=model, dt=1e-6, n_steps=1, n_realizations=1, threads=0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_steps", 2.7), ("n_realizations", 3.5), ("dt", float("nan")), ("record_rho", "no"),
+    ("threads", 2.5), ("trotter", "bogus"), ("m_nodes", 0), ("n_steps", np.int64(0)),
+])
+def test_run_config_rejects_bad_field(field, value):
+    # Library RunConfigs get the config schema's checks and field paths.
+    with pytest.raises(ConfigError, match=rf"^run\.{field}: expected "):
+        RunConfig(**{"model": presets.single_spin_model(), "dt": 1e-6, "n_steps": 1, field: value})
+
+
+def test_run_config_accepts_numpy_scalars():
+    kw = {"model": presets.single_spin_model(), "n_realizations": 4, "observables": [("Z", Z)]}
+    plain = RunConfig(dt=1e-6, n_steps=3, **kw)
+    numpy = RunConfig(dt=np.float64(1e-6), n_steps=np.int64(3), **kw)
+    assert type(numpy.n_steps) is int
+    assert np.array_equal(run_ensemble(numpy).means, run_ensemble(plain).means)
+
+
 def test_reset_zero_norm_branch_raises(rng):
     state = np.zeros(4, dtype=complex)
     state[1] = 1.0  # pure |0>|1>: outcome 1 certain, branch fine
@@ -219,7 +238,7 @@ def bulk_noise_reference(config, plan, indices):
 
 def two_molecule_config(**kw):
     return RunConfig(model=presets.two_molecule_model(), dt=presets.TWO_MOLECULE_DT,
-                     observables=[("ZZ", linalg.kron(Z, Z))], **kw)
+                     observables=[("ZZ", np.kron(Z, Z))], **kw)
 
 
 def test_streamed_noise_equals_bulk_draw(monkeypatch):

@@ -7,35 +7,7 @@ from qnoise import linalg
 
 from conftest import is_unitary, random_complex, random_density, random_pure
 
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)
-
-
-def test_kron_identity():
-    assert_allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_diagonal():
-    assert_allclose(linalg.kron(np.diag([1.0, 2.0]), np.eye(2)), np.diag([1.0, 1.0, 2.0, 2.0]))
-
-
-def test_kron_against_index_formula(rng):
-    a = random_complex(rng, (2, 2))
-    b = SIGMA_PLUS
-    k = linalg.kron(a, b)
-    for i in range(2):
-        for j in range(2):
-            for p in range(2):
-                for q in range(2):
-                    assert k[2 * i + p, 2 * j + q] == pytest.approx(a[i, j] * b[p, q])
-
-
-def test_kron_mixed_product(rng):
-    a, b, c, d = (random_complex(rng, (3, 3)) for _ in range(4))
-    assert_allclose(
-        linalg.kron(a, b) @ linalg.kron(c, d), linalg.kron(a @ c, b @ d), atol=1e-10
-    )
 
 
 def test_matexp_pauli_rotation():
@@ -47,7 +19,7 @@ def test_matexp_pauli_rotation():
 
 
 def coupling(a):
-    return linalg.kron(a, SIGMA_PLUS) - linalg.kron(a.conj().T, SIGMA_PLUS.T)
+    return np.kron(a, SIGMA_PLUS) - np.kron(a.conj().T, SIGMA_PLUS.T)
 
 
 def test_matexp_antihermitian_batched(rng):
@@ -74,7 +46,7 @@ def test_partial_trace_product_state(rng):
     rho_s = random_density(rng, 4)
     anc0 = np.zeros((2, 2), dtype=complex)
     anc0[0, 0] = 1.0
-    assert_allclose(linalg.partial_trace_ancilla(linalg.kron(rho_s, anc0), 4), rho_s, atol=1e-12)
+    assert_allclose(linalg.partial_trace_ancilla(np.kron(rho_s, anc0), 4), rho_s, atol=1e-12)
 
 
 def test_partial_trace_bell_state():
@@ -131,23 +103,6 @@ def test_trace_distance_symmetry_and_triangle(rng):
 def test_trace_distance_dimension_mismatch(rng):
     with pytest.raises(ValueError):
         linalg.trace_distance(random_density(rng, 2), random_density(rng, 4))
-
-
-def test_spectral_norm_paulis():
-    assert linalg.spectral_norm(Z) == pytest.approx(1.0)
-    assert linalg.spectral_norm(SIGMA_PLUS) == pytest.approx(1.0)
-
-
-def test_spectral_norm_against_power_iteration(rng):
-    a = random_complex(rng, (8, 8))
-    # power iteration on A^dag A gives the squared largest singular value
-    m = a.conj().T @ a
-    v = random_pure(rng, 8)
-    for _ in range(500):
-        v = m @ v
-        v = v / np.linalg.norm(v)
-    lam = float((v.conj() @ m @ v).real)
-    assert linalg.spectral_norm(a) == pytest.approx(np.sqrt(lam), rel=1e-8)
 
 
 def test_vec_column_stacking():

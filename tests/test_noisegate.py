@@ -64,7 +64,7 @@ def test_interaction_picture_commuting_case():
         1, (HamiltonianTerm(3.0, Z, 1),), (LindbladTerm(1.0, Z, 1, (0,), "Z"),)
     )
     plan = build_plan(model, 2.0, M=20)  # nodes s_r = 0.1 r
-    for r in [1, 7, 20]:  # s = 0.1, 0.7, 2.0
+    for r in [1, 7, 19]:  # s = 0.1, 0.7, 1.9
         assert_allclose(plan.l_nodes[0, r], Z, atol=1e-12)
 
 
@@ -74,7 +74,7 @@ def test_interaction_picture_closed_form():
     model = driven_dephasing(omega=omega)
     plan = build_plan(model, 1.7, M=17)  # nodes s_r = 0.1 r
     nodes = np.linspace(0, 1.7, 18)
-    for r in [0, 2, 9, 17]:  # s = 0.0, 0.2, 0.9, 1.7
+    for r in [0, 2, 9, 16]:  # s = 0.0, 0.2, 0.9, 1.6
         s = nodes[r]
         got = plan.l_nodes[0, r]
         u = expm(-1j * (omega / 2) * s * X)
@@ -84,7 +84,7 @@ def test_interaction_picture_closed_form():
 
 def test_coupling_operator_structure():
     j = coupling_operator(SIGMA_MINUS)
-    assert_allclose(j, linalg.kron(SIGMA_MINUS, SIGMA_PLUS) - linalg.kron(SIGMA_PLUS, SIGMA_MINUS))
+    assert_allclose(j, np.kron(SIGMA_MINUS, SIGMA_PLUS) - np.kron(SIGMA_PLUS, SIGMA_MINUS))
     assert is_anti_hermitian(j, 1e-14)
 
 
@@ -95,7 +95,7 @@ def test_build_plan_empty_and_constant():
     free = LindbladModel(1, (), (LindbladTerm(1.0, Z, 1, (0,), "Z"),))
     plan = build_plan(free, 0.1, M=4)
     j = coupling_operator(plan.l_nodes[0])
-    for r in range(5):
+    for r in range(4):
         assert_allclose(j[r], j[0], atol=1e-14)
 
 
@@ -105,7 +105,7 @@ def test_build_plan_nodes_match_direct_computation():
     plan = build_plan(model, dt, M=8)
     j = coupling_operator(plan.l_nodes)
     for k, term in enumerate(model.lindblad_terms):
-        for r, s in enumerate(np.linspace(0, dt, 9)):
+        for r, s in enumerate(np.linspace(0, dt, 9)[:8]):
             u = closed_propagator(model, s)
             expected = coupling_operator(u.conj().T @ term.operator @ u)
             assert_allclose(j[k, r], expected, atol=1e-12)
@@ -192,7 +192,7 @@ def test_sample_gate_noiseless_limit(rng):
     )
     plan = build_plan(model, 0.1, M=4)
     gate = gates_from_increments(plan, sample_increments(plan, rng))
-    assert_allclose(gate, linalg.kron(closed_propagator(model, 0.1), np.eye(2)), atol=1e-12)
+    assert_allclose(gate, np.kron(closed_propagator(model, 0.1), np.eye(2)), atol=1e-12)
 
 
 def test_sample_gate_unitary(rng):
@@ -322,13 +322,13 @@ def reference_gates(model, dt, trotter, M, increments):
     batch = increments.shape[:-2]
     d2 = 2 * model.dim
     gate = np.broadcast_to(
-        linalg.kron(reference_propagator(model, dt, trotter), np.eye(2)), batch + (d2, d2)
+        np.kron(reference_propagator(model, dt, trotter), np.eye(2)), batch + (d2, d2)
     ).copy()
     for k, term in enumerate(model.lindblad_terms):
         if term.rate == 0.0:
             continue
         j = np.array([
-            linalg.kron(L, SIGMA_PLUS) - linalg.kron(L.conj().T, SIGMA_MINUS) for L in ls[k]
+            np.kron(L, SIGMA_PLUS) - np.kron(L.conj().T, SIGMA_MINUS) for L in ls[k]
         ])
         s_k = np.einsum("...m,mij->...ij", increments[..., k, :], j)
         exps = [expm(np.sqrt(term.rate) * s) for s in s_k.reshape(-1, d2, d2)]
