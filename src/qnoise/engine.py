@@ -8,9 +8,11 @@ space with an ancilla reset, in one of two equivalent modes:
 - partial-trace: keep the system density matrix, trace the ancilla out and
   re-append it as |0><0|.
 
-Since the ancilla always enters in |0>, a step applies only the gate's
-ancilla-0 columns, a 2d x d isometry, to the system state.  The run is
-described by `config.RunConfig`, which checks its fields on construction.
+Since the ancilla always enters in |0>, a step needs only the gate's action
+on state x |0>: measure-reset applies it by a truncated Taylor series
+(`noisegate.gate_action`), partial-trace conjugates with the SVD-formed gate's
+ancilla-0 columns, a 2d x d isometry.  The run is described by
+`config.RunConfig`, which checks its fields on construction.
 
 Reproducibility: every trajectory derives its noise and measurement
 streams from (master_seed, trajectory_index) via a splitmix64-style
@@ -37,22 +39,29 @@ import numpy as np
 
 from . import linalg
 from .config import RunConfig
-from .noisegate import NoiseGatePlan, build_plan, gates_from_increments, sample_increments
+from .noisegate import (
+    NoiseGatePlan, build_plan, gate_action, gates_from_increments, sample_increments,
+)
 
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on a uint64 array; the arithmetic wraps mod 2^64."""
+    x = x + 0x9E3779B97F4A7C15
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
     return x ^ (x >> 31)
 
 
-def trajectory_seed(master_seed: int, index: int, stream: int) -> int:
-    """Decorrelated 64-bit seed for one (trajectory, stream) pair."""
-    s = _splitmix64((master_seed & _MASK64) ^ _splitmix64(index & _MASK64))
-    return _splitmix64(s ^ _splitmix64((stream ^ 0xD1B54A32D192ED03) & _MASK64))
+def trajectory_seed(master_seed: int, index, stream: int):
+    """Decorrelated 64-bit seed for one (trajectory, stream) pair: an int for an int index,
+    a uint64 array for an integer array of indices (cast, so taken mod 2^64)."""
+    idx = np.asarray(index).astype(np.uint64) if np.ndim(index) else np.uint64(int(index) & _MASK64)
+    salt = np.uint64((stream ^ 0xD1B54A32D192ED03) & _MASK64)
+    s = _splitmix64(np.uint64(master_seed & _MASK64) ^ _splitmix64(np.atleast_1d(idx)))
+    seeds = _splitmix64(s ^ _splitmix64(np.atleast_1d(salt)))
+    return seeds if np.ndim(index) else int(seeds[0])
 
 
 @dataclass
@@ -119,17 +128,18 @@ def _step_noise(config: RunConfig, plan: NoiseGatePlan, indices: np.ndarray):
     inc = np.empty((B, block, K, M))
     uni = np.empty((B, block))
 
-    def streams(idx):
-        seeds = (trajectory_seed(config.master_seed, int(idx), s) for s in (0, 1))
-        return [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    seeds = [trajectory_seed(config.master_seed, indices, s).tolist() for s in (0, 1)]
+
+    def streams(b):
+        return [np.random.Generator(np.random.PCG64(s[b])) for s in seeds]
 
     # A live Generator costs about 5 KB, so the chunk's 2B streams are held
     # between blocks only when there is more than one block.
-    held = [streams(idx) for idx in indices] if block < n_steps else None
+    held = [streams(b) for b in range(B)] if block < n_steps else None
     for start in range(0, n_steps, block):
         nb = min(block, n_steps - start)
-        for b, idx in enumerate(indices):
-            g_noise, g_meas = held[b] if held else streams(idx)
+        for b in range(B):
+            g_noise, g_meas = held[b] if held else streams(b)
             inc[b, :nb] = sample_increments(plan, g_noise, (nb,))
             uni[b, :nb] = g_meas.random(nb)
         for j in range(nb):
@@ -184,12 +194,12 @@ def _run_chunk(config: RunConfig, plan: NoiseGatePlan, obs_stack: np.ndarray,
     state = np.broadcast_to(state, (B,) + state.shape).copy()
     _record(stats, 0, obs_stack, state)
     for j, (inc, uni) in enumerate(_step_noise(config, plan, indices)):
-        # The ancilla enters in |0>, so only the gate's ancilla-0 columns act: a (2d, d) isometry.
-        cols = gates_from_increments(plan, inc)[:, :, 0::2]
         if measure:
-            state, outcome1 = measure_ancilla(np.einsum("bij,bj->bi", cols, state), uni)
+            state, outcome1 = measure_ancilla(gate_action(plan, inc, state), uni)
             stats.flips[j] += outcome1.sum()
         else:
+            # The ancilla enters in |0>, so only the gate's ancilla-0 columns act.
+            cols = gates_from_increments(plan, inc)[:, :, 0::2]
             full = cols @ state @ cols.conj().transpose(0, 2, 1)
             # Ancilla outcome-1 weight before the trace, for the audit trail.
             stats.flips[j] += np.einsum("bii->b", full[:, 1::2, 1::2]).real.sum()

@@ -22,11 +22,14 @@ A = W Sigma V^dag gives the exponential (`linalg.matexp_antihermitian`)
     [[V cos(Sigma) V^dag, -V sin(Sigma) W^dag],
      [W sin(Sigma) V^dag,  W cos(Sigma) W^dag]].
 
+partial-trace conjugates with this gate.  measure-reset never forms it:
+`gate_action` applies it to psi x |0> by a truncated Taylor series.
 `expected_channel` evaluates the noise-average of the gate conjugation
 (after tracing the ancilla) deterministically from the same table.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -130,23 +133,54 @@ def sample_increments(plan: NoiseGatePlan, rng: np.random.Generator, size=()) ->
     return rng.normal(0.0, np.sqrt(plan.dt / plan.m_nodes), size=shape)
 
 
-def gates_from_increments(plan: NoiseGatePlan, increments: np.ndarray) -> np.ndarray:
-    """Batched gate assembly from pre-drawn increments.
-
-    increments has shape (..., K, M); the result is a (..., 2d, 2d)
-    stack of unitaries U(dt) * prod_k exp(sqrt(gamma_k) S_k), with the
-    product taken in ascending channel index.
-    """
+def _channel_blocks(plan: NoiseGatePlan, increments: np.ndarray):
+    """Yield A_k = sqrt(gamma_k) sum_r L_k(s_r) dW_r, (..., d, d), for active k ascending."""
     increments = np.asarray(increments, dtype=float)
     batch = increments.shape[:-2]
     d, M = plan.system_dim, plan.m_nodes
-    gate = np.broadcast_to(plan.u_full, batch + (2 * d, 2 * d)).copy()
     for k in np.flatnonzero(plan.rates):
         # Real GEMM: (..., M) increments against the table viewed as (M, 2d^2) reals.
         table = plan.l_nodes[k].reshape(M, d * d).view(np.float64)
         a = (increments[..., k, :] @ table).view(complex).reshape(batch + (d, d))
-        gate = gate @ linalg.matexp_antihermitian(np.sqrt(plan.rates[k]) * a)
+        yield np.sqrt(plan.rates[k]) * a
+
+
+def gates_from_increments(plan: NoiseGatePlan, increments: np.ndarray) -> np.ndarray:
+    """The (..., 2d, 2d) stack of unitaries U(dt) * prod_k exp(sqrt(gamma_k) S_k), product
+    in ascending channel index, from pre-drawn increments of shape (..., K, M)."""
+    batch = np.shape(increments)[:-2]
+    gate = np.broadcast_to(plan.u_full, batch + plan.u_full.shape).copy()
+    for a in _channel_blocks(plan, increments):
+        gate = gate @ linalg.matexp_antihermitian(a)
     return gate
+
+
+def gate_action(plan: NoiseGatePlan, increments: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """gates_from_increments(plan, increments) @ (psi x |0>) for psi of shape (..., d),
+    without forming a gate: each exp([[0, -A^dag], [A, 0]]) acts on the ancilla halves
+    by its Taylor series, cut at the least n with |A|^(n+1)/(n+1)! <= 2^-53 for |A| the
+    batch's largest Frobenius norm, in ceil(|A|) equal sub-steps when |A| > 1
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).  Result shape (..., 2d)."""
+    x0, x1 = np.array(psi, dtype=complex), np.zeros(np.shape(psi), dtype=complex)
+    # The gate is U E_0 ... E_{K-1}, so the last channel acts first.
+    for a in reversed(list(_channel_blocks(plan, increments))):
+        norm = np.linalg.norm(a, axis=(-2, -1)).max(initial=0.0)
+        steps = max(1, math.ceil(norm))
+        norm /= steps
+        degree = next(n for n in range(40) if norm ** (n + 1) / math.factorial(n + 1) <= 2.0**-53)
+        # Term j maps (t0, t1) to (-A^dag t1, A t0) / j; the 1/j is folded into the blocks.
+        j = np.arange(1, degree + 1).reshape((-1,) + (1,) * a.ndim) * steps
+        terms = list(zip(a.conj().swapaxes(-1, -2) / -j, a / j))
+        for _ in range(steps):
+            t0, t1 = x0, x1
+            for ah_j, a_j in terms:
+                t0, t1 = (np.einsum("...ij,...j->...i", ah_j, t1),
+                          np.einsum("...ij,...j->...i", a_j, t0))
+                x0 += t0
+                x1 += t1
+    # U(dt) on the (..., d, 2) stack of halves, flattened to index sys*2 + anc.
+    out = plan.u_full[0::2, 0::2] @ np.stack((x0, x1), axis=-1)
+    return out.reshape(x0.shape[:-1] + (2 * plan.system_dim,))
 
 
 def expected_channel(

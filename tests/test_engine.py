@@ -16,7 +16,7 @@ from qnoise.engine import (
     trajectory_seed,
 )
 from qnoise.model import HamiltonianTerm, LindbladModel, LindbladTerm, PauliString
-from qnoise.noisegate import build_plan
+from qnoise.noisegate import build_plan, gates_from_increments
 from qnoise.oracle import evolve_exact
 
 from conftest import random_pure
@@ -27,6 +27,34 @@ Z = PauliString("Z").matrix()
 
 def dephasing_model(gamma=0.5):
     return LindbladModel(1, (), (LindbladTerm(gamma, Z, 1, (0,), "Z"),))
+
+
+def scalar_seed_reference(master_seed, index, stream):
+    """The splitmix64 seed mix written with Python ints."""
+    mask = (1 << 64) - 1
+
+    def mix(x):
+        x = (x + 0x9E3779B97F4A7C15) & mask
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        return x ^ (x >> 31)
+
+    s = mix((master_seed & mask) ^ mix(index & mask))
+    return mix(s ^ mix((stream ^ 0xD1B54A32D192ED03) & mask))
+
+
+def test_trajectory_seed_array_matches_scalar_formula():
+    indices = [0, 1, 2**32 - 1, 2**63, 2**64 - 1]
+    n_r = 40
+    for master in (-1, 0, 7, 2**64 + 5):
+        for stream in (0, 1, 2 + n_r):
+            expected = [scalar_seed_reference(master, i, stream) for i in indices]
+            seeds = trajectory_seed(master, np.array(indices, dtype=np.uint64), stream)
+            assert seeds.dtype == np.uint64 and seeds.tolist() == expected
+            assert [trajectory_seed(master, i, stream) for i in indices] == expected
+            chunk = np.arange(5, 261)   # the engine passes int64 index chunks
+            assert trajectory_seed(master, chunk, stream).tolist() == [
+                scalar_seed_reference(master, int(i), stream) for i in chunk]
 
 
 def test_trajectory_seed_decorrelates():
@@ -127,6 +155,35 @@ def test_determinism_across_thread_counts():
         assert np.array_equal(outs[0].means, other.means)
         assert np.array_equal(outs[0].stderrs, other.stderrs)
         assert np.array_equal(outs[0].rho_mean, other.rho_mean)
+
+
+def test_measure_reset_matches_formed_gates():
+    # gamma*dt = 0.1, so ancilla flips occur and |A| passes 1 in one step (sub-steps).
+    cfg = RunConfig(model=presets.single_spin_model(), dt=1e-3, n_steps=6, n_realizations=64,
+                    master_seed=23, observables=[("Z", Z)], record_rho=True)
+    res = run_ensemble(cfg)
+    # Reference step: the SVD-formed gate's ancilla-0 columns on the engine's own noise.
+    plan = build_plan(cfg.model, cfg.dt, cfg.trotter, cfg.m_nodes)
+    psi = np.broadcast_to(cfg.initial_vector(), (64, 2)).astype(complex)
+    rhos, flips = [np.einsum("bi,bj->ij", psi, psi.conj()) / 64], []
+    for inc, uni in engine._step_noise(cfg, plan, np.arange(64)):
+        cols = gates_from_increments(plan, inc)[:, :, 0::2]
+        psi, outcome1 = measure_ancilla(np.einsum("bij,bj->bi", cols, psi), uni)
+        rhos.append(np.einsum("bi,bj->ij", psi, psi.conj()) / 64)
+        flips.append(outcome1.mean())
+    rhos = np.array(rhos)
+    assert sum(flips) > 0
+    assert_allclose(res.rho_mean, rhos, rtol=0, atol=1e-12)
+    assert_allclose(res.means[0], np.einsum("ij,sji->s", Z, rhos).real, rtol=0, atol=1e-12)
+    assert_allclose(res.flip_fraction, flips, rtol=0, atol=1e-12)
+
+
+def test_two_molecule_measure_reset_thread_invariant():
+    outs = [run_ensemble(two_molecule_config(n_steps=4, n_realizations=24, master_seed=41,
+                                             m_nodes=16, chunk_size=8, threads=threads))
+            for threads in (1, 2)]
+    assert np.array_equal(outs[0].means, outs[1].means)
+    assert np.array_equal(outs[0].stderrs, outs[1].stderrs)
 
 
 def test_averaged_rho_physical():

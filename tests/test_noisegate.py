@@ -19,12 +19,13 @@ from qnoise.noisegate import (
     closed_propagator,
     coupling_operator,
     expected_channel,
+    gate_action,
     gates_from_increments,
     sample_increments,
 )
 from qnoise.oracle import evolve_exact
 
-from conftest import is_anti_hermitian, random_density
+from conftest import is_anti_hermitian, random_density, random_pure
 
 X = PauliString("X").matrix()
 Y = PauliString("Y").matrix()
@@ -405,3 +406,80 @@ def test_expected_channel_matches_piece_loop(make_model, dt, M, trotter):
     rho = random_density(np.random.default_rng(17), model.dim)
     got = expected_channel(model, dt, trotter, M)(rho)
     assert_allclose(got, reference_channel(model, dt, trotter, M, rho), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The measure-reset gate action: the Taylor-series action of the gate on
+# psi x |0> must equal the SVD-formed gate's ancilla-0 columns applied to psi.
+# ---------------------------------------------------------------------------
+
+ACTION_CASES = EQUIVALENCE_CASES[:2]
+
+
+def formed_action(plan, increments, psi):
+    return np.einsum("bij,bj->bi", gates_from_increments(plan, increments)[:, :, 0::2], psi)
+
+
+def random_states(rng, batch, d):
+    return np.array([random_pure(rng, d) for _ in range(batch)])
+
+
+def channel_norms(plan, increments):
+    """Per channel, the batch's largest Frobenius norm of A_k = sqrt(gamma_k) sum_r L_k(s_r) dW_r"""
+    a = np.einsum("bkr,kr...->bk...", increments, plan.l_nodes) * np.sqrt(plan.rates)[:, None, None]
+    return np.linalg.norm(a, axis=(-2, -1)).max(axis=0)
+
+
+@pytest.mark.parametrize("trotter", ["exact", "order-1", "order-2"])
+@pytest.mark.parametrize("make_model,dt,M", ACTION_CASES)
+def test_gate_action_matches_formed_gate(make_model, dt, M, trotter):
+    plan = build_plan(make_model(), dt, trotter, M)
+    rng = np.random.default_rng(31)
+    inc = sample_increments(plan, rng, (128,))
+    psi = random_states(rng, 128, plan.system_dim)
+    got = gate_action(plan, inc, psi)
+    assert_allclose(got, formed_action(plan, inc, psi), rtol=0, atol=1e-13)
+    assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("make_model,dt,M", ACTION_CASES)
+def test_gate_action_zero_increments(make_model, dt, M):
+    plan = build_plan(make_model(), dt, "exact", M)
+    psi = random_states(np.random.default_rng(3), 4, plan.system_dim)
+    got = gate_action(plan, np.zeros((4, plan.n_channels, M)), psi)
+    u = plan.u_full[0::2, 0::2]
+    assert_allclose(got[:, 0::2], psi @ u.T, rtol=0, atol=1e-15)   # to complex-product rounding
+    assert np.array_equal(got[:, 1::2], np.zeros_like(psi))
+
+
+def test_gate_action_skips_zero_rate_channels():
+    model = presets.two_molecule_model()
+    plan = build_plan(model, presets.TWO_MOLECULE_DT, M=16)
+    off = np.flatnonzero(plan.rates == 0.0)
+    assert {model.lindblad_terms[k].label for k in off} >= {"ZX", "ZY"}
+    rng = np.random.default_rng(8)
+    inc = sample_increments(plan, rng, (8,))
+    psi = random_states(rng, 8, plan.system_dim)
+    poisoned = inc.copy()
+    poisoned[:, off] = np.nan   # any arithmetic on these channels would spread NaN
+    assert np.array_equal(gate_action(plan, poisoned, psi), gate_action(plan, inc, psi))
+
+
+@pytest.mark.parametrize("make_model,dt,M", ACTION_CASES)
+def test_gate_action_sub_steps_at_large_norm(make_model, dt, M):
+    plan = build_plan(make_model(), dt, "exact", M)
+    rng = np.random.default_rng(12)
+    inc = sample_increments(plan, rng, (64,))
+    inc *= 3.0 / channel_norms(plan, inc).max()
+    norms = channel_norms(plan, inc)
+    assert 1.0 < norms.max() < 3.0 + 1e-9   # above 1: the exponent is split into sub-steps
+    psi = random_states(rng, 64, plan.system_dim)
+    got = gate_action(plan, inc, psi)
+    assert_allclose(got, formed_action(plan, inc, psi), rtol=0, atol=1e-12)
+    assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-14)
+
+
+def test_gate_action_empty_batch():
+    plan = build_plan(presets.two_molecule_model(), presets.TWO_MOLECULE_DT, M=16)
+    got = gate_action(plan, np.zeros((0, plan.n_channels, 16)), np.zeros((0, 4)))
+    assert got.shape == (0, 8)
