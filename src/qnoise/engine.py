@@ -24,10 +24,11 @@ that fits in one chunk uses one thread.  Standard errors come from
 centred sums of squares, merged pairwise across chunks, so they agree
 across chunk sizes to rounding even when the spread is tiny.
 
-Memory: a chunk draws its Wiener increments one block of steps at a time
-into one buffer of at most NOISE_BLOCK_BYTES (or one step, if larger), so
-the noise memory does not grow with n_steps.  Streams are read in order,
-and the values do not depend on the block size.
+Noise: standard normals, min(M, 2d^2) per channel with a nonzero rate, that
+`noisegate` multiplies by a per-channel factor.  A chunk draws them one
+block of steps at a time into one buffer of at most NOISE_BLOCK_BYTES (or
+one step, if larger), so the noise memory does not grow with n_steps.
+Streams are read in order, and the values do not depend on the block size.
 """
 from __future__ import annotations
 
@@ -39,9 +40,7 @@ import numpy as np
 
 from . import linalg
 from .config import RunConfig
-from .noisegate import (
-    NoiseGatePlan, build_plan, gate_action, gates_from_increments, sample_increments,
-)
+from .noisegate import NoiseGatePlan, build_plan, gate_action, gates_from_increments, sample_noise
 
 _MASK64 = (1 << 64) - 1
 
@@ -111,21 +110,21 @@ class _ChunkStats:
         self.count += other.count
 
 
-# Byte budget of a chunk's Wiener-increment buffer, refilled one block of steps at a time.
+# Byte budget of a chunk's noise buffer, refilled one block of steps at a time.
 NOISE_BLOCK_BYTES = 4 << 20
 
 
 def _step_noise(config: RunConfig, plan: NoiseGatePlan, indices: np.ndarray):
-    """Yield each step's Wiener increments (B, K, M) and measurement uniforms (B,).
+    """Yield each step's gate noise (B, K_active, r) and measurement uniforms (B,).
 
     Every trajectory's two streams are read in order, one block of steps at
     a time, into one reused buffer, so the values equal a one-call draw.
     The yielded arrays are views that the next block overwrites.
     """
-    B, K, M = len(indices), plan.n_channels, plan.m_nodes
+    B, (K, r) = len(indices), plan.factors.shape[:2]
     n_steps = config.n_steps
-    block = min(n_steps, max(1, NOISE_BLOCK_BYTES // max(1, B * K * M * 8)))
-    inc = np.empty((B, block, K, M))
+    block = min(n_steps, max(1, NOISE_BLOCK_BYTES // max(1, B * K * r * 8)))
+    noise = np.empty((B, block, K, r))
     uni = np.empty((B, block))
 
     seeds = [trajectory_seed(config.master_seed, indices, s).tolist() for s in (0, 1)]
@@ -140,10 +139,10 @@ def _step_noise(config: RunConfig, plan: NoiseGatePlan, indices: np.ndarray):
         nb = min(block, n_steps - start)
         for b in range(B):
             g_noise, g_meas = held[b] if held else streams(b)
-            inc[b, :nb] = sample_increments(plan, g_noise, (nb,))
+            noise[b, :nb] = sample_noise(plan, g_noise, (nb,))
             uni[b, :nb] = g_meas.random(nb)
         for j in range(nb):
-            yield inc[:, j], uni[:, j]
+            yield noise[:, j], uni[:, j]
 
 
 def _record(stats: _ChunkStats, step: int, obs_stack, state: np.ndarray):
@@ -193,13 +192,13 @@ def _run_chunk(config: RunConfig, plan: NoiseGatePlan, obs_stack: np.ndarray,
     state = config.initial_vector() if measure else config.initial_density()
     state = np.broadcast_to(state, (B,) + state.shape).copy()
     _record(stats, 0, obs_stack, state)
-    for j, (inc, uni) in enumerate(_step_noise(config, plan, indices)):
+    for j, (noise, uni) in enumerate(_step_noise(config, plan, indices)):
         if measure:
-            state, outcome1 = measure_ancilla(gate_action(plan, inc, state), uni)
+            state, outcome1 = measure_ancilla(gate_action(plan, noise, state), uni)
             stats.flips[j] += outcome1.sum()
         else:
             # The ancilla enters in |0>, so only the gate's ancilla-0 columns act.
-            cols = gates_from_increments(plan, inc)[:, :, 0::2]
+            cols = gates_from_increments(plan, noise)[:, :, 0::2]
             full = cols @ state @ cols.conj().transpose(0, 2, 1)
             # Ancilla outcome-1 weight before the trace, for the audit trail.
             stats.flips[j] += np.einsum("bii->b", full[:, 1::2, 1::2]).real.sum()

@@ -15,9 +15,14 @@ operators L_k(s_r) = U(s_r)^dag L_k U(s_r), r = 0..M-1
 pass from one eigendecomposition of H (of each Hamiltonian term under
 Trotterization).  With SIGMA_PLUS = |1><0| the
 ancilla blocks of sqrt(gamma_k) S_k are [[0, -A^dag], [A, 0]], where
-A = sqrt(gamma_k) sum_r L_k(s_r) dW_r is formed for a whole batch of
-increments by one real GEMM against the table, and the SVD
-A = W Sigma V^dag gives the exponential (`linalg.matexp_antihermitian`)
+A = sqrt(gamma_k) sum_r L_k(s_r) dW_r = sqrt(gamma_k) T_k^T dW for T_k the
+table of channel k viewed as (M, 2d^2) reals.  So A is exactly
+Normal(0, gamma_k (dt/M) T_k^T T_k) (Wiener integrals of deterministic
+integrands; Kloeden & Platen 1992), and the sampler draws that law, not the
+path: A = z F_k for min(M, 2d^2) standard normals z and the factor
+F_k = sqrt(gamma_k dt/M) D Q^T of the thin SVD T_k = P D Q^T
+(`NoiseGatePlan.factors`).  The SVD A = W Sigma V^dag of each sampled block
+gives the exponential (`linalg.matexp_antihermitian`)
 
     [[V cos(Sigma) V^dag, -V sin(Sigma) W^dag],
      [W sin(Sigma) V^dag,  W cos(Sigma) W^dag]].
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -93,8 +99,8 @@ class NoiseGatePlan:
     """Per-step precomputation shared by all trajectories.
 
     l_nodes[k, r] is the d x d operator L_k(s_r) at the left-endpoint
-    nodes s_r = r*dt/M, r = 0..M-1, which the sampler and the expected
-    channel both read.
+    nodes s_r = r*dt/M, r = 0..M-1, which the sampler's factor and the
+    expected channel both read.
     """
 
     dt: float
@@ -107,6 +113,18 @@ class NoiseGatePlan:
     @property
     def n_channels(self) -> int:
         return len(self.rates)
+
+    @cached_property
+    def factors(self) -> np.ndarray:
+        """F_k = sqrt(gamma_k dt/M) D Q^T of T_k = P D Q^T for each channel with a
+        nonzero rate, ascending, shape (K_active, min(M, 2d^2), 2d^2): z F_k for standard
+        normals z has A_k's law.  Computed on first use, so the expected channel never does."""
+        active = np.flatnonzero(self.rates)
+        d, M = self.system_dim, self.m_nodes
+        table = self.l_nodes[active].reshape(len(active), M, d * d).view(np.float64)
+        _, sv, vt = np.linalg.svd(table, full_matrices=False)
+        scale = np.sqrt(self.rates[active] * self.dt / M)
+        return (scale[:, None] * sv)[..., None] * vt
 
 
 def build_plan(
@@ -127,43 +145,39 @@ def build_plan(
     )
 
 
-def sample_increments(plan: NoiseGatePlan, rng: np.random.Generator, size=()) -> np.ndarray:
-    """Wiener increments dW_r ~ Normal(0, dt/M), shape size + (K, M)."""
-    shape = tuple(size) + (plan.n_channels, plan.m_nodes)
-    return rng.normal(0.0, np.sqrt(plan.dt / plan.m_nodes), size=shape)
+def sample_noise(plan: NoiseGatePlan, rng: np.random.Generator, size=()) -> np.ndarray:
+    """Standard normals of shape size + plan.factors.shape[:2], one row per active channel."""
+    return rng.standard_normal(tuple(size) + plan.factors.shape[:2])
 
 
-def _channel_blocks(plan: NoiseGatePlan, increments: np.ndarray):
-    """Yield A_k = sqrt(gamma_k) sum_r L_k(s_r) dW_r, (..., d, d), for active k ascending."""
-    increments = np.asarray(increments, dtype=float)
-    batch = increments.shape[:-2]
-    d, M = plan.system_dim, plan.m_nodes
-    for k in np.flatnonzero(plan.rates):
-        # Real GEMM: (..., M) increments against the table viewed as (M, 2d^2) reals.
-        table = plan.l_nodes[k].reshape(M, d * d).view(np.float64)
-        a = (increments[..., k, :] @ table).view(complex).reshape(batch + (d, d))
-        yield np.sqrt(plan.rates[k]) * a
+def _channel_blocks(plan: NoiseGatePlan, noise: np.ndarray):
+    """Yield A_k = z_k F_k, (..., d, d), for the active channels k ascending."""
+    noise = np.asarray(noise, dtype=float)
+    batch, d = noise.shape[:-2], plan.system_dim
+    for z, f in zip(np.moveaxis(noise, -2, 0), plan.factors):
+        # Real GEMM of the (..., r) normals and the (r, 2d^2) factor, viewed as d x d complex.
+        yield (z @ f).view(complex).reshape(batch + (d, d))
 
 
-def gates_from_increments(plan: NoiseGatePlan, increments: np.ndarray) -> np.ndarray:
+def gates_from_increments(plan: NoiseGatePlan, noise: np.ndarray) -> np.ndarray:
     """The (..., 2d, 2d) stack of unitaries U(dt) * prod_k exp(sqrt(gamma_k) S_k), product
-    in ascending channel index, from pre-drawn increments of shape (..., K, M)."""
-    batch = np.shape(increments)[:-2]
+    in ascending channel index, from noise drawn by `sample_noise`, shape (..., K_active, r)."""
+    batch = np.shape(noise)[:-2]
     gate = np.broadcast_to(plan.u_full, batch + plan.u_full.shape).copy()
-    for a in _channel_blocks(plan, increments):
+    for a in _channel_blocks(plan, noise):
         gate = gate @ linalg.matexp_antihermitian(a)
     return gate
 
 
-def gate_action(plan: NoiseGatePlan, increments: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """gates_from_increments(plan, increments) @ (psi x |0>) for psi of shape (..., d),
+def gate_action(plan: NoiseGatePlan, noise: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """gates_from_increments(plan, noise) @ (psi x |0>) for psi of shape (..., d),
     without forming a gate: each exp([[0, -A^dag], [A, 0]]) acts on the ancilla halves
     by its Taylor series, cut at the least n with |A|^(n+1)/(n+1)! <= 2^-53 for |A| the
     batch's largest Frobenius norm, in ceil(|A|) equal sub-steps when |A| > 1
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).  Result shape (..., 2d)."""
     x0, x1 = np.array(psi, dtype=complex), np.zeros(np.shape(psi), dtype=complex)
     # The gate is U E_0 ... E_{K-1}, so the last channel acts first.
-    for a in reversed(list(_channel_blocks(plan, increments))):
+    for a in reversed(list(_channel_blocks(plan, noise))):
         norm = np.linalg.norm(a, axis=(-2, -1)).max(initial=0.0)
         steps = max(1, math.ceil(norm))
         norm /= steps
@@ -188,8 +202,8 @@ def expected_channel(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Deterministic noise-average of the gate: rho -> U(rho + int D(s) rho ds) U^dag.
 
-    The integral uses the same M-node left-endpoint grid as the sampler,
-    so the channel is exactly the mean of the sampled conjugations to
+    The integral uses the same M-node left-endpoint grid whose law the sampler
+    draws, so the channel is exactly the mean of the sampled conjugations to
     O((gamma dt)^2).  Over the active (channel, node) pieces
     B_p = sqrt(gamma_k dt/M) L_k(s_r) it applies
     rho + sum_p B_p rho B_p^dag - (G rho + rho G)/2, G = sum_p B_p^dag B_p,

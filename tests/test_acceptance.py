@@ -16,10 +16,10 @@ from qnoise.bounds import BoundInputs, epsilon_p_bound
 from qnoise.cli import main
 from qnoise.engine import RunConfig, run_ensemble
 from qnoise.model import PauliString
-from qnoise.noisegate import (
-    build_plan, coupling_operator, expected_channel, gates_from_increments, sample_increments,
-)
+from qnoise.noisegate import build_plan, coupling_operator, expected_channel, gates_from_increments
 from qnoise.oracle import evolve_exact, evolve_rk4, step_sa
+
+from conftest import grid_increments, noise_coordinates
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -133,8 +133,8 @@ def test_criterion_6_property_suite():
     plan = build_plan(model, presets.SINGLE_SPIN_DT, M=8)
 
     # 10^3 sampled gates are unitary within 1e-9
-    dw = sample_increments(plan, rng, size=(1000,))
-    gates = gates_from_increments(plan, dw)
+    dw = grid_increments(plan, rng, size=(1000,))
+    gates = gates_from_increments(plan, noise_coordinates(plan, dw))
     unit_dev = float(np.max(np.abs(gates.conj().transpose(0, 2, 1) @ gates - np.eye(4))))
     assert unit_dev < 1e-9
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -279,18 +280,17 @@ def test_reset_zero_norm_branch_raises(rng):
 
 
 def bulk_noise_reference(config, plan, indices):
-    """Each trajectory's noise and measurement streams drawn in one call:
-    increments (B, n_steps, K, M) and uniforms (B, n_steps)."""
-    sigma = np.sqrt(config.dt / plan.m_nodes)
-    inc, uni = [], []
+    """Each trajectory's noise and measurement streams drawn in one call: standard
+    normals (B, n_steps, K_active, r) and uniforms (B, n_steps)."""
+    noise, uni = [], []
     for idx in indices:
         g_noise, g_meas = (
             np.random.Generator(np.random.PCG64(trajectory_seed(config.master_seed, int(idx), s)))
             for s in (0, 1)
         )
-        inc.append(g_noise.normal(0.0, sigma, size=(config.n_steps, plan.n_channels, plan.m_nodes)))
+        noise.append(g_noise.standard_normal((config.n_steps,) + plan.factors.shape[:2]))
         uni.append(g_meas.random(config.n_steps))
-    return np.array(inc), np.array(uni)
+    return np.array(noise), np.array(uni)
 
 
 def two_molecule_config(**kw):
@@ -302,13 +302,14 @@ def test_streamed_noise_equals_bulk_draw(monkeypatch):
     cfg = two_molecule_config(n_steps=7, n_realizations=24, master_seed=5, m_nodes=16)
     plan = build_plan(cfg.model, cfg.dt, cfg.trotter, cfg.m_nodes)
     indices = np.arange(3, 27)
-    inc_ref, uni_ref = bulk_noise_reference(cfg, plan, indices)
-    step_bytes = len(indices) * plan.n_channels * plan.m_nodes * 8
+    noise_ref, uni_ref = bulk_noise_reference(cfg, plan, indices)
+    assert noise_ref.shape == (24, 7, plan.n_channels - 2, 16)   # ZX and ZY have rate zero
+    step_bytes = len(indices) * math.prod(plan.factors.shape[:2]) * 8
     # One block; three steps per block with a short last block; one step per block.
     for budget in (engine.NOISE_BLOCK_BYTES, 3 * step_bytes, 1):
         monkeypatch.setattr(engine, "NOISE_BLOCK_BYTES", budget)
-        steps = [(inc.copy(), uni.copy()) for inc, uni in engine._step_noise(cfg, plan, indices)]
-        assert np.array_equal(np.stack([inc for inc, _ in steps], axis=1), inc_ref)
+        steps = [(z.copy(), uni.copy()) for z, uni in engine._step_noise(cfg, plan, indices)]
+        assert np.array_equal(np.stack([z for z, _ in steps], axis=1), noise_ref)
         assert np.array_equal(np.stack([uni for _, uni in steps], axis=1), uni_ref)
 
 
@@ -324,8 +325,14 @@ def test_ensemble_independent_of_noise_block(monkeypatch, mode):
 
 
 def test_noise_memory_does_not_grow_with_steps():
+    n_realizations = 32
+    probe = two_molecule_config(n_steps=1, n_realizations=n_realizations, m_nodes=256)
+    plan = build_plan(probe.model, probe.dt, probe.trotter, probe.m_nodes)
+    step_bytes = n_realizations * math.prod(plan.factors.shape[:2]) * 8
+    block = engine.NOISE_BLOCK_BYTES // step_bytes   # steps that fill one noise block
+
     def peak_bytes(n_steps):
-        cfg = two_molecule_config(n_steps=n_steps, n_realizations=32, master_seed=3, m_nodes=256)
+        cfg = replace(probe, n_steps=n_steps, master_seed=3)
         tracemalloc.start()
         try:
             run_ensemble(cfg)
@@ -333,5 +340,8 @@ def test_noise_memory_does_not_grow_with_steps():
         finally:
             tracemalloc.stop()
 
-    short, long = peak_bytes(16), peak_bytes(64)
-    assert long <= 1.25 * short, f"peak {short / 2**20:.1f} MB at 16 steps, {long / 2**20:.1f} MB at 64"
+    # Both runs need more than one block, so both fill the whole buffer.
+    n_short, n_long = block + 1, 4 * block
+    short, long = peak_bytes(n_short), peak_bytes(n_long)
+    assert long <= 1.25 * short, (f"peak {short / 2**20:.1f} MB at {n_short} steps, "
+                                  f"{long / 2**20:.1f} MB at {n_long}")

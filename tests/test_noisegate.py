@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from qnoise import linalg, presets
+from qnoise import linalg, noisegate, presets
 from qnoise.bounds import BoundInputs, epsilon_p_bound
 from qnoise.model import (
     HamiltonianTerm,
@@ -21,11 +21,13 @@ from qnoise.noisegate import (
     expected_channel,
     gate_action,
     gates_from_increments,
-    sample_increments,
+    sample_noise,
 )
 from qnoise.oracle import evolve_exact
 
-from conftest import is_anti_hermitian, random_density, random_pure
+from conftest import (
+    grid_increments, is_anti_hermitian, noise_coordinates, random_density, random_pure,
+)
 
 X = PauliString("X").matrix()
 Y = PauliString("Y").matrix()
@@ -192,14 +194,13 @@ def test_sample_gate_noiseless_limit(rng):
         1, (HamiltonianTerm(1.0, X, 1),), (LindbladTerm(0.0, Z, 1, (0,), "Z"),)
     )
     plan = build_plan(model, 0.1, M=4)
-    gate = gates_from_increments(plan, sample_increments(plan, rng))
+    gate = gates_from_increments(plan, sample_noise(plan, rng))
     assert_allclose(gate, np.kron(closed_propagator(model, 0.1), np.eye(2)), atol=1e-12)
 
 
 def test_sample_gate_unitary(rng):
     plan = build_plan(presets.single_spin_model(), presets.SINGLE_SPIN_DT, M=8)
-    dw = sample_increments(plan, rng, size=(200,))
-    gates = gates_from_increments(plan, dw)
+    gates = gates_from_increments(plan, sample_noise(plan, rng, size=(200,)))
     dev = np.abs(gates.conj().transpose(0, 2, 1) @ gates - np.eye(4))
     assert np.max(dev) < 1e-9
 
@@ -207,11 +208,11 @@ def test_sample_gate_unitary(rng):
 def test_sample_gate_records_increments(rng):
     model = presets.single_spin_model()
     plan = build_plan(model, presets.SINGLE_SPIN_DT, M=8)
-    dw = sample_increments(plan, rng)
-    assert dw.shape == (3, 8)
-    # the same increments rebuild the same gate, alone or in a batch
-    gate = gates_from_increments(plan, dw)
-    assert_allclose(gates_from_increments(plan, dw[None])[0], gate, atol=1e-14)
+    z = sample_noise(plan, rng)
+    assert z.shape == (3, 8)   # three active channels, min(M, 2d^2) = 8 normals each
+    # the same noise rebuilds the same gate, alone or in a batch
+    gate = gates_from_increments(plan, z)
+    assert_allclose(gates_from_increments(plan, z[None])[0], gate, atol=1e-14)
 
 
 def test_gate_average_matches_expected_channel(rng):
@@ -223,8 +224,7 @@ def test_gate_average_matches_expected_channel(rng):
     rho = random_density(rng, 2)
 
     n = 100_000
-    dw = sample_increments(plan, rng, size=(n,))
-    gates = gates_from_increments(plan, dw)
+    gates = gates_from_increments(plan, sample_noise(plan, rng, size=(n,)))
     full = np.zeros((n, 4, 4), dtype=complex)
     full[:, 0::2, 0::2] = rho
     evolved = gates @ full @ gates.conj().transpose(0, 2, 1)
@@ -293,8 +293,8 @@ def test_build_plan_rejects_bad_args():
 # Equivalence with the Kronecker-matrix construction: per-node propagators
 # from scipy's expm, 2d x 2d couplings J_k(s_r) built with kron, the
 # einsum contraction S_k = sum_r J_k(s_r) dW_r, and one exponential per
-# matrix.  The plan's d x d table, GEMM and block-SVD exponential must
-# reproduce it on fixed increments.
+# matrix.  The plan's d x d table, factor, GEMM and block-SVD exponential
+# must reproduce it on fixed increments, mapped to the sampler's noise.
 # ---------------------------------------------------------------------------
 
 
@@ -385,10 +385,45 @@ def test_gates_match_kronecker_reference(make_model, dt, M, trotter):
     large = rng.normal(0.0, 3.0 / np.sqrt(M * max(plan.rates)), size=(4, K, M))
     zero = np.zeros((2, K, M))
     for inc in (typical, large, zero):
-        got = gates_from_increments(plan, inc)
+        got = gates_from_increments(plan, noise_coordinates(plan, inc))
         assert_allclose(got, reference_gates(model, dt, trotter, M, inc), rtol=0, atol=1e-12)
-    for gate in gates_from_increments(plan, zero):
+    for gate in gates_from_increments(plan, noise_coordinates(plan, zero)):
         assert_allclose(gate, plan.u_full, atol=1e-14)
+
+
+def grid_covariance_cases():
+    cases = [pytest.param(*case.values, trotter, id=f"{case.id}-{trotter}")
+             for case in EQUIVALENCE_CASES for trotter in ("exact", "order-1", "order-2")]
+    return cases + [pytest.param(presets.two_molecule_model, presets.TWO_MOLECULE_DT, 16,
+                                 "exact", id="two-molecule-M16")]
+
+
+@pytest.mark.parametrize("make_model,dt,M,trotter", grid_covariance_cases())
+def test_factor_reproduces_grid_law(make_model, dt, M, trotter):
+    # A_k = sqrt(gamma_k) T_k^T dW with dW ~ Normal(0, dt/M) has covariance
+    # gamma_k (dt/M) T_k^T T_k; z F_k with z ~ Normal(0, I) has F_k^T F_k.
+    plan = build_plan(make_model(), dt, trotter, M)
+    d = plan.system_dim
+    active = np.flatnonzero(plan.rates)
+    assert plan.factors.shape == (len(active), min(M, 2 * d * d), 2 * d * d)
+    for f, k in zip(plan.factors, active):
+        table = plan.l_nodes[k].reshape(M, d * d).view(np.float64)
+        cov = plan.rates[k] * dt / M * (table.T @ table)
+        assert np.max(np.abs(f.T @ f - cov)) <= 1e-13 * np.max(np.abs(cov))
+    # Zero-rate channels have no factor row and draw nothing.
+    z = sample_noise(plan, np.random.default_rng(6), (5,))
+    assert z.shape == (5, len(active), min(M, 2 * d * d))
+    assert np.array_equal(z.ravel(), np.random.default_rng(6).standard_normal(z.size))
+
+
+def test_factor_stays_off_the_reference_path(monkeypatch):
+    def forbidden(plan):
+        raise AssertionError("the expected channel computed the sampler's factor")
+
+    monkeypatch.setattr(noisegate.NoiseGatePlan, "factors", property(forbidden))
+    model = presets.two_molecule_model()
+    assert expected_channel(model, presets.TWO_MOLECULE_DT, M=16)(np.eye(4) / 4).shape == (4, 4)
+    build_plan(model, presets.TWO_MOLECULE_DT, M=16)
 
 
 def test_lowering_channel_block_is_rank_one():
@@ -416,8 +451,8 @@ def test_expected_channel_matches_piece_loop(make_model, dt, M, trotter):
 ACTION_CASES = EQUIVALENCE_CASES[:2]
 
 
-def formed_action(plan, increments, psi):
-    return np.einsum("bij,bj->bi", gates_from_increments(plan, increments)[:, :, 0::2], psi)
+def formed_action(plan, noise, psi):
+    return np.einsum("bij,bj->bi", gates_from_increments(plan, noise)[:, :, 0::2], psi)
 
 
 def random_states(rng, batch, d):
@@ -425,7 +460,8 @@ def random_states(rng, batch, d):
 
 
 def channel_norms(plan, increments):
-    """Per channel, the batch's largest Frobenius norm of A_k = sqrt(gamma_k) sum_r L_k(s_r) dW_r"""
+    """Per channel, the batch's largest Frobenius norm of A_k = sqrt(gamma_k) sum_r L_k(s_r) dW_r
+    for grid increments dW of shape (batch, K, M)."""
     a = np.einsum("bkr,kr...->bk...", increments, plan.l_nodes) * np.sqrt(plan.rates)[:, None, None]
     return np.linalg.norm(a, axis=(-2, -1)).max(axis=0)
 
@@ -435,10 +471,10 @@ def channel_norms(plan, increments):
 def test_gate_action_matches_formed_gate(make_model, dt, M, trotter):
     plan = build_plan(make_model(), dt, trotter, M)
     rng = np.random.default_rng(31)
-    inc = sample_increments(plan, rng, (128,))
+    noise = noise_coordinates(plan, grid_increments(plan, rng, (128,)))
     psi = random_states(rng, 128, plan.system_dim)
-    got = gate_action(plan, inc, psi)
-    assert_allclose(got, formed_action(plan, inc, psi), rtol=0, atol=1e-13)
+    got = gate_action(plan, noise, psi)
+    assert_allclose(got, formed_action(plan, noise, psi), rtol=0, atol=1e-13)
     assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-14)
 
 
@@ -446,40 +482,44 @@ def test_gate_action_matches_formed_gate(make_model, dt, M, trotter):
 def test_gate_action_zero_increments(make_model, dt, M):
     plan = build_plan(make_model(), dt, "exact", M)
     psi = random_states(np.random.default_rng(3), 4, plan.system_dim)
-    got = gate_action(plan, np.zeros((4, plan.n_channels, M)), psi)
+    got = gate_action(plan, noise_coordinates(plan, np.zeros((4, plan.n_channels, M))), psi)
     u = plan.u_full[0::2, 0::2]
     assert_allclose(got[:, 0::2], psi @ u.T, rtol=0, atol=1e-15)   # to complex-product rounding
     assert np.array_equal(got[:, 1::2], np.zeros_like(psi))
 
 
-def test_gate_action_skips_zero_rate_channels():
+def test_zero_rate_channels_draw_no_noise():
     model = presets.two_molecule_model()
     plan = build_plan(model, presets.TWO_MOLECULE_DT, M=16)
     off = np.flatnonzero(plan.rates == 0.0)
     assert {model.lindblad_terms[k].label for k in off} >= {"ZX", "ZY"}
+    k_active = plan.n_channels - len(off)
+    assert plan.factors.shape == (k_active, 16, 32)
     rng = np.random.default_rng(8)
-    inc = sample_increments(plan, rng, (8,))
-    psi = random_states(rng, 8, plan.system_dim)
-    poisoned = inc.copy()
-    poisoned[:, off] = np.nan   # any arithmetic on these channels would spread NaN
-    assert np.array_equal(gate_action(plan, poisoned, psi), gate_action(plan, inc, psi))
+    noise = sample_noise(plan, rng, (8,))
+    assert noise.shape == (8, k_active, 16)
+    # The factor never reads the rate-zero channels' rows of the table.
+    poisoned = build_plan(model, presets.TWO_MOLECULE_DT, M=16)
+    poisoned.l_nodes[off] = np.nan
+    assert np.array_equal(poisoned.factors, plan.factors)
 
 
 @pytest.mark.parametrize("make_model,dt,M", ACTION_CASES)
 def test_gate_action_sub_steps_at_large_norm(make_model, dt, M):
     plan = build_plan(make_model(), dt, "exact", M)
     rng = np.random.default_rng(12)
-    inc = sample_increments(plan, rng, (64,))
+    inc = grid_increments(plan, rng, (64,))
     inc *= 3.0 / channel_norms(plan, inc).max()
     norms = channel_norms(plan, inc)
     assert 1.0 < norms.max() < 3.0 + 1e-9   # above 1: the exponent is split into sub-steps
+    noise = noise_coordinates(plan, inc)
     psi = random_states(rng, 64, plan.system_dim)
-    got = gate_action(plan, inc, psi)
-    assert_allclose(got, formed_action(plan, inc, psi), rtol=0, atol=1e-12)
+    got = gate_action(plan, noise, psi)
+    assert_allclose(got, formed_action(plan, noise, psi), rtol=0, atol=1e-12)
     assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-14)
 
 
 def test_gate_action_empty_batch():
     plan = build_plan(presets.two_molecule_model(), presets.TWO_MOLECULE_DT, M=16)
-    got = gate_action(plan, np.zeros((0, plan.n_channels, 16)), np.zeros((0, 4)))
+    got = gate_action(plan, np.zeros((0,) + plan.factors.shape[:2]), np.zeros((0, 4)))
     assert got.shape == (0, 8)
