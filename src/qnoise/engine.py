@@ -19,10 +19,11 @@ streams from (master_seed, trajectory_index) via a splitmix64-style
 mixer, and aggregation reduces fixed-size chunks in index order, so the
 result is bit-identical for any worker-pool size.  It is not
 bit-identical across chunk sizes: the chunk size sets the order of the
-floating-point reduction.  Chunks are the unit of parallelism, so a run
-that fits in one chunk uses one thread.  Standard errors come from
-centred sums of squares, merged pairwise across chunks, so they agree
-across chunk sizes to rounding even when the spread is tiny.
+floating-point reduction.  Chunks are the unit of parallelism: a run
+starts min(threads, chunks, CPU count) workers, so one chunk uses one
+thread.  Standard errors come from centred sums of squares, merged
+pairwise across chunks, so they agree across chunk sizes to rounding
+even when the spread is tiny.
 
 Noise: standard normals, min(M, 2d^2) per channel with a nonzero rate, that
 `noisegate` multiplies by a per-channel factor.  A chunk draws them one
@@ -32,6 +33,7 @@ Streams are read in order, and the values do not depend on the block size.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -222,8 +224,9 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
         all_indices[i : i + config.chunk_size]
         for i in range(0, config.n_realizations, config.chunk_size)
     ]
-    if config.threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+    workers = min(config.threads, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda c: _run_chunk(config, plan, obs_stack, c), chunks))
     else:
         results = [_run_chunk(config, plan, obs_stack, c) for c in chunks]

@@ -39,10 +39,6 @@ class PauliString:
         return len(self.letters)
 
     @property
-    def weight(self) -> int:
-        return sum(1 for c in self.letters if c != "I")
-
-    @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.letters) if c != "I")
 

@@ -84,16 +84,6 @@ def _interaction_table(model: LindbladModel, props: np.ndarray) -> np.ndarray:
     return props.conj().swapaxes(-1, -2)[None] @ ops[:, None] @ props[None]
 
 
-def coupling_operator(L_s: np.ndarray) -> np.ndarray:
-    """J(s) = kron(L(s), sigma+) - kron(L(s)^dag, sigma-) for a stack (..., d, d) of L(s)."""
-    L_s = np.asarray(L_s, dtype=complex)
-    d = L_s.shape[-1]
-    j = np.zeros(L_s.shape[:-2] + (2 * d, 2 * d), dtype=complex)
-    j[..., 1::2, 0::2] = L_s
-    j[..., 0::2, 1::2] = -L_s.conj().swapaxes(-1, -2)
-    return j
-
-
 @dataclass(frozen=True)
 class NoiseGatePlan:
     """Per-step precomputation shared by all trajectories.
@@ -109,10 +99,6 @@ class NoiseGatePlan:
     l_nodes: np.ndarray                # (K, M, d, d)
     u_full: np.ndarray                 # kron(U(dt), I_2), shape (2d, 2d)
     system_dim: int
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.rates)
 
     @cached_property
     def factors(self) -> np.ndarray:

@@ -1,16 +1,16 @@
-"""Built-in example models: a driven dissipative spin and a two-molecule chain."""
+"""Built-in example models, a driven dissipative spin and a two-molecule chain,
+written as inline model documents that `config.load_model` builds."""
 from __future__ import annotations
 
 import numpy as np
 
-from .model import (
-    HamiltonianTerm,
-    LindbladModel,
-    LindbladTerm,
-    PauliString,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-)
+from .model import LindbladModel, SIGMA_MINUS, SIGMA_PLUS
+
+
+def _config():
+    from . import config   # imported on first use: config imports PRESETS from here
+    return config
+
 
 # Driven single spin: H = (Omega/2) X with Omega = pi/6 Mrad/s, three
 # dissipation channels (raising, lowering, dephasing) at a common rate
@@ -18,25 +18,22 @@ from .model import (
 SINGLE_SPIN_OMEGA = np.pi / 6 * 1e6     # rad/s
 SINGLE_SPIN_GAMMA = 100.0               # 1/s
 SINGLE_SPIN_DT = 1e-6                   # s  (gamma*dt = 1e-4)
-SINGLE_SPIN_T = 30e-6                   # s
 
 
 def single_spin_model(
     omega: float = SINGLE_SPIN_OMEGA, gamma: float = SINGLE_SPIN_GAMMA
 ) -> LindbladModel:
-    x = PauliString("X").matrix()
-    z = PauliString("Z").matrix()
-    return LindbladModel(
-        n=1,
-        hamiltonian_terms=(
-            HamiltonianTerm(omega / 2.0, x, locality=1, label="drive"),
-        ),
-        lindblad_terms=(
-            LindbladTerm(gamma, SIGMA_PLUS, locality=1, support=(0,), label="raise"),
-            LindbladTerm(gamma, SIGMA_MINUS, locality=1, support=(0,), label="lower"),
-            LindbladTerm(gamma, z, locality=1, support=(0,), label="dephase"),
-        ),
-    )
+    config = _config()
+
+    def jump(op: np.ndarray, label: str) -> dict:
+        return {"matrix": config.matrix_to_json(op), "support": [0], "rate": gamma, "label": label}
+
+    return config.load_model({
+        "n": 1,
+        "hamiltonian": [{"pauli": "X", "coeff": omega / 2.0, "label": "drive"}],
+        "lindblad": [jump(SIGMA_PLUS, "raise"), jump(SIGMA_MINUS, "lower"),
+                     {"pauli": "Z", "rate": gamma, "label": "dephase"}],
+    })
 
 
 # Excitation transfer between two coupled two-level molecules.
@@ -68,33 +65,18 @@ TWO_MOLECULE_RATES = {
 
 
 def two_molecule_model() -> LindbladModel:
-    h_terms = (
-        HamiltonianTerm(
-            -TWO_MOLECULE_E[0] / 2.0, PauliString("ZI").matrix(), locality=1, label="E0"
-        ),
-        HamiltonianTerm(
-            -TWO_MOLECULE_E[1] / 2.0, PauliString("IZ").matrix(), locality=1, label="E1"
-        ),
-        HamiltonianTerm(
-            TWO_MOLECULE_J / 2.0, PauliString("XX").matrix(), locality=2, label="JXX"
-        ),
-        HamiltonianTerm(
-            TWO_MOLECULE_J / 2.0, PauliString("YY").matrix(), locality=2, label="JYY"
-        ),
-    )
-    l_terms = []
-    for letters, rate in TWO_MOLECULE_RATES.items():
-        ps = PauliString(letters)
-        l_terms.append(
-            LindbladTerm(
-                rate,
-                ps.matrix(),
-                locality=max(ps.weight, 1),
-                support=ps.support or (0,),
-                label=letters,
-            )
-        )
-    return LindbladModel(2, h_terms, tuple(l_terms))
+    (e0, e1), j = TWO_MOLECULE_E, TWO_MOLECULE_J
+    return _config().load_model({
+        "n": 2,
+        "hamiltonian": [
+            {"pauli": "ZI", "coeff": -e0 / 2.0, "label": "E0"},
+            {"pauli": "IZ", "coeff": -e1 / 2.0, "label": "E1"},
+            {"pauli": "XX", "coeff": j / 2.0, "label": "JXX"},
+            {"pauli": "YY", "coeff": j / 2.0, "label": "JYY"},
+        ],
+        "lindblad": [{"pauli": letters, "rate": rate, "label": letters}
+                     for letters, rate in TWO_MOLECULE_RATES.items()],
+    })
 
 
 # The models a config names with `model.preset`.

@@ -42,9 +42,19 @@ def random_pure(rng, d):
     return psi / np.linalg.norm(psi)
 
 
+def coupling_operator(L_s):
+    """J(s) = kron(L(s), sigma+) - kron(L(s)^dag, sigma-) for a stack (..., d, d) of L(s)."""
+    L_s = np.asarray(L_s, dtype=complex)
+    d = L_s.shape[-1]
+    j = np.zeros(L_s.shape[:-2] + (2 * d, 2 * d), dtype=complex)
+    j[..., 1::2, 0::2] = L_s
+    j[..., 0::2, 1::2] = -L_s.conj().swapaxes(-1, -2)
+    return j
+
+
 def grid_increments(plan, rng, size=()):
     """Wiener increments dW_r ~ Normal(0, dt/M) on the plan's M-node grid, shape size + (K, M)."""
-    shape = tuple(size) + (plan.n_channels, plan.m_nodes)
+    shape = tuple(size) + (len(plan.rates), plan.m_nodes)
     return rng.normal(0.0, np.sqrt(plan.dt / plan.m_nodes), size=shape)
 
 

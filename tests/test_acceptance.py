@@ -16,10 +16,10 @@ from qnoise.bounds import BoundInputs, epsilon_p_bound
 from qnoise.cli import main
 from qnoise.engine import RunConfig, run_ensemble
 from qnoise.model import PauliString
-from qnoise.noisegate import build_plan, coupling_operator, expected_channel, gates_from_increments
+from qnoise.noisegate import build_plan, expected_channel, gates_from_increments
 from qnoise.oracle import evolve_exact, evolve_rk4, step_sa
 
-from conftest import grid_increments, noise_coordinates
+from conftest import coupling_operator, grid_increments, noise_coordinates
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -158,6 +159,46 @@ def test_determinism_across_thread_counts():
         assert np.array_equal(outs[0].rho_mean, other.rho_mean)
 
 
+class SerialPool:
+    """Stands in for ThreadPoolExecutor: records max_workers and maps in this thread."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus,n_realizations,workers", [
+    (2, 5 * 16, 2),      # cores bind
+    (64, 5 * 16, 5),     # chunks bind
+    (None, 5 * 16, None),  # unknown core count: one worker, no pool
+    (64, 16, None),      # one chunk: no pool
+])
+def test_worker_count_is_bounded(monkeypatch, cpus, n_realizations, workers):
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(SerialPool, "requested", [])
+    cfg = RunConfig(model=presets.single_spin_model(), dt=1e-6, n_steps=3,
+                    n_realizations=n_realizations, master_seed=77, observables=[("Z", Z)],
+                    threads=10**6, chunk_size=16)
+    running = threading.active_count()
+    got = run_ensemble(cfg)
+    assert threading.active_count() == running
+    assert SerialPool.requested == ([] if workers is None else [workers])
+    serial = run_ensemble(replace(cfg, threads=1))
+    assert np.array_equal(got.means, serial.means)
+    assert np.array_equal(got.stderrs, serial.stderrs)
+
+
 def test_measure_reset_matches_formed_gates():
     # gamma*dt = 0.1, so ancilla flips occur and |A| passes 1 in one step (sub-steps).
     cfg = RunConfig(model=presets.single_spin_model(), dt=1e-3, n_steps=6, n_realizations=64,
@@ -303,7 +344,7 @@ def test_streamed_noise_equals_bulk_draw(monkeypatch):
     plan = build_plan(cfg.model, cfg.dt, cfg.trotter, cfg.m_nodes)
     indices = np.arange(3, 27)
     noise_ref, uni_ref = bulk_noise_reference(cfg, plan, indices)
-    assert noise_ref.shape == (24, 7, plan.n_channels - 2, 16)   # ZX and ZY have rate zero
+    assert noise_ref.shape == (24, 7, len(plan.rates) - 2, 16)   # ZX and ZY have rate zero
     step_bytes = len(indices) * math.prod(plan.factors.shape[:2]) * 8
     # One block; three steps per block with a short last block; one step per block.
     for budget in (engine.NOISE_BLOCK_BYTES, 3 * step_bytes, 1):

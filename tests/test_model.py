@@ -34,7 +34,6 @@ def test_pauli_string_matrices():
 def test_pauli_string_metadata():
     ps = PauliString("IXZI")
     assert ps.n == 4
-    assert ps.weight == 2
     assert ps.support == (1, 2)
     with pytest.raises(ValueError):
         PauliString("XQ")

@@ -17,7 +17,6 @@ from qnoise.model import (
 from qnoise.noisegate import (
     build_plan,
     closed_propagator,
-    coupling_operator,
     expected_channel,
     gate_action,
     gates_from_increments,
@@ -26,7 +25,8 @@ from qnoise.noisegate import (
 from qnoise.oracle import evolve_exact
 
 from conftest import (
-    grid_increments, is_anti_hermitian, noise_coordinates, random_density, random_pure,
+    coupling_operator, grid_increments, is_anti_hermitian, noise_coordinates, random_density,
+    random_pure,
 )
 
 X = PauliString("X").matrix()
@@ -93,7 +93,7 @@ def test_coupling_operator_structure():
 
 def test_build_plan_empty_and_constant():
     no_noise = LindbladModel(1, (HamiltonianTerm(1.0, X, 1),), ())
-    assert build_plan(no_noise, 0.1).n_channels == 0
+    assert len(build_plan(no_noise, 0.1).rates) == 0
 
     free = LindbladModel(1, (), (LindbladTerm(1.0, Z, 1, (0,), "Z"),))
     plan = build_plan(free, 0.1, M=4)
@@ -482,7 +482,7 @@ def test_gate_action_matches_formed_gate(make_model, dt, M, trotter):
 def test_gate_action_zero_increments(make_model, dt, M):
     plan = build_plan(make_model(), dt, "exact", M)
     psi = random_states(np.random.default_rng(3), 4, plan.system_dim)
-    got = gate_action(plan, noise_coordinates(plan, np.zeros((4, plan.n_channels, M))), psi)
+    got = gate_action(plan, noise_coordinates(plan, np.zeros((4, len(plan.rates), M))), psi)
     u = plan.u_full[0::2, 0::2]
     assert_allclose(got[:, 0::2], psi @ u.T, rtol=0, atol=1e-15)   # to complex-product rounding
     assert np.array_equal(got[:, 1::2], np.zeros_like(psi))
@@ -493,7 +493,7 @@ def test_zero_rate_channels_draw_no_noise():
     plan = build_plan(model, presets.TWO_MOLECULE_DT, M=16)
     off = np.flatnonzero(plan.rates == 0.0)
     assert {model.lindblad_terms[k].label for k in off} >= {"ZX", "ZY"}
-    k_active = plan.n_channels - len(off)
+    k_active = len(plan.rates) - len(off)
     assert plan.factors.shape == (k_active, 16, 32)
     rng = np.random.default_rng(8)
     noise = sample_noise(plan, rng, (8,))
