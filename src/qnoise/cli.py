@@ -173,7 +173,8 @@ def cmd_sampling_error(cfg: Config, args) -> int:
     n_r_values, repetitions = cfg.experiment["n_r_values"], cfg.experiment["repetitions"]
     label, op = config.observables[0]
 
-    rho0 = config.initial_density()
+    state = config.start_state
+    rho0 = state if state.ndim == 2 else np.outer(state, state.conj())
     exact_rho = oracle.evolve_exact(cfg.model, rho0, config.dt * config.n_steps)
     exact_val = float(np.trace(op @ exact_rho).real)
 

@@ -6,14 +6,15 @@ range or choices, and whether it is required or what its default is.
 `ConfigError` whose path names the field.  What depends on the model's
 qubit count is checked when operators and states are built afterwards.
 `RunConfig`, the engine's input, passes its scalar fields through the same
-`run` kinds, so a library caller gets a config file's checks and paths.
+`run` kinds and checks its observables and initial state when built, so a
+library caller gets a config file's checks and paths.
 """
 from __future__ import annotations
 
 import json
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -127,8 +128,10 @@ MODES = ("measure-reset", "partial-trace")
 
 @dataclass
 class RunConfig:
-    """One ensemble run.  Scalar fields pass through the `run` schema's kinds,
-    so a bad value raises the ConfigError a config file would give."""
+    """One ensemble run, checked when built.  Scalar fields pass through the
+    `run` schema's kinds, so a bad value raises the ConfigError a config file
+    would give; observables and the initial state are checked against the
+    model, and `start_state` is the state the engine starts from."""
 
     model: LindbladModel
     dt: float
@@ -143,6 +146,8 @@ class RunConfig:
     record_rho: bool = False
     threads: int = 1
     chunk_size: int = 256
+    # A unit (d,) statevector in measure-reset, a (d, d) density matrix in partial-trace.
+    start_state: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("dt", "n_steps", "n_realizations", "master_seed", "mode", "m_nodes",
@@ -150,41 +155,31 @@ class RunConfig:
             key = "seed" if name == "master_seed" else name
             setattr(self, name, SCHEMA["run"].keys[key].kind(getattr(self, name), f"run.{key}"))
         d = self.model.dim
-        for label, op in self.observables:
-            op = np.asarray(op)
-            if op.shape != (d, d):
-                raise ValueError(f"observable {label!r} has shape {op.shape}, expected {(d, d)}")
-            if not linalg.is_hermitian(op, 1e-10):
-                raise ValueError(f"observable {label!r} is not Hermitian")
+        for i, (label, op) in enumerate(self.observables):
+            if np.shape(op) != (d, d) or not linalg.is_hermitian(np.asarray(op), 1e-10):
+                raise ConfigError(f"run.observables[{i}]",
+                                  f"{label!r} is not a Hermitian {d}x{d} matrix")
+        self.start_state = self._start_state()
 
-    def initial_vector(self) -> np.ndarray:
-        """System statevector; rejects mixed inputs (needed by measure-reset)."""
-        d = self.model.dim
-        if self.initial_state is None:
-            psi = np.zeros(d, dtype=complex)
-            psi[0] = 1.0
-            return psi
-        st = np.asarray(self.initial_state, dtype=complex)
+    def _start_state(self) -> np.ndarray:
+        d, measure = self.model.dim, self.mode == "measure-reset"
+        st = np.asarray(np.eye(d)[0] if self.initial_state is None else self.initial_state,
+                        dtype=complex)
         if st.shape == (d,):
             norm = np.linalg.norm(st)
             if not np.isclose(norm, 1.0, atol=1e-9):
-                raise ValueError(f"initial statevector norm {norm} != 1")
-            return st / norm
-        raise ValueError(
-            f"measure-reset mode needs a pure initial statevector of shape ({d},), "
-            f"got shape {st.shape}"
-        )
-
-    def initial_density(self) -> np.ndarray:
-        d = self.model.dim
-        if self.initial_state is None or np.asarray(self.initial_state).shape == (d,):
-            psi = self.initial_vector()
-            return np.outer(psi, psi.conj())
-        rho = np.asarray(self.initial_state, dtype=complex)
-        if rho.shape != (d, d):
-            raise ValueError(f"initial state has shape {rho.shape}, expected ({d},) or ({d},{d})")
-        linalg.assert_density_matrix(rho)
-        return rho
+                raise ConfigError("run.initial_state", f"statevector norm {norm} != 1")
+            psi = st / norm
+            return psi if measure else np.outer(psi, psi.conj())
+        if measure or st.shape != (d, d):
+            shapes = f"({d},)" if measure else f"({d},) or ({d}, {d})"
+            raise ConfigError("run.initial_state",
+                              f"{self.mode} needs shape {shapes}, got {st.shape}")
+        try:
+            linalg.assert_density_matrix(st)
+        except ValueError as exc:
+            raise ConfigError("run.initial_state", str(exc)) from None
+        return st
 
 
 _RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}

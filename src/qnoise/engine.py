@@ -12,7 +12,8 @@ Since the ancilla always enters in |0>, a step needs only the gate's action
 on state x |0>: measure-reset applies it by a truncated Taylor series
 (`noisegate.gate_action`), partial-trace conjugates with the SVD-formed gate's
 ancilla-0 columns, a 2d x d isometry.  The run is described by
-`config.RunConfig`, which checks its fields on construction.
+`config.RunConfig`, which checks its fields and resolves the start state
+(`start_state`) on construction.
 
 Reproducibility: every trajectory derives its noise and measurement
 streams from (master_seed, trajectory_index) via a splitmix64-style
@@ -20,10 +21,11 @@ mixer, and aggregation reduces fixed-size chunks in index order, so the
 result is bit-identical for any worker-pool size.  It is not
 bit-identical across chunk sizes: the chunk size sets the order of the
 floating-point reduction.  Chunks are the unit of parallelism: a run
-starts min(threads, chunks, CPU count) workers, so one chunk uses one
-thread.  Standard errors come from centred sums of squares, merged
-pairwise across chunks, so they agree across chunk sizes to rounding
-even when the spread is tiny.
+starts min(threads, chunks, CPU count) worker threads, submits at most
+one chunk per worker ahead of the next chunk to fold, and folds in index
+order, so memory does not grow with the chunk count.  Standard errors come
+from centred sums of squares, merged pairwise across chunks, so they agree
+across chunk sizes to rounding even when the spread is tiny.
 
 Noise: standard normals, min(M, 2d^2) per channel with a nonzero rate, that
 `noisegate` multiplies by a per-channel factor.  A chunk draws them one
@@ -34,6 +36,7 @@ Streams are read in order, and the values do not depend on the block size.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -191,8 +194,7 @@ def _run_chunk(config: RunConfig, plan: NoiseGatePlan, obs_stack: np.ndarray,
     stats = _new_stats(config, len(obs_stack))
     stats.count = B
     measure = config.mode == "measure-reset"
-    state = config.initial_vector() if measure else config.initial_density()
-    state = np.broadcast_to(state, (B,) + state.shape).copy()
+    state = np.broadcast_to(config.start_state, (B,) + config.start_state.shape).copy()
     _record(stats, 0, obs_stack, state)
     for j, (noise, uni) in enumerate(_step_noise(config, plan, indices)):
         if measure:
@@ -225,15 +227,16 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
         for i in range(0, config.n_realizations, config.chunk_size)
     ]
     workers = min(config.threads, len(chunks), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _run_chunk(config, plan, obs_stack, c), chunks))
-    else:
-        results = [_run_chunk(config, plan, obs_stack, c) for c in chunks]
-
     total = _new_stats(config, len(obs_stack))
-    for r in results:
-        total.add(r)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # Up to `workers` chunks ahead of the fold: no worker idles, and memory stays bounded.
+        pending = deque()
+        for c in chunks:
+            pending.append(pool.submit(_run_chunk, config, plan, obs_stack, c))
+            if len(pending) > workers:
+                total.add(pending.popleft().result())
+        for future in pending:
+            total.add(future.result())
 
     n = total.count
     means = total.obs_sum / n

@@ -75,27 +75,23 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
 
 
-def assert_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-9,
-    eig_floor: float = -1e-8,
-) -> None:
-    """Raise ValueError unless rho is a physical density matrix.
+# A physical density matrix's tolerances.  The eigenvalue floor is slightly
+# negative on purpose: Monte-Carlo averages produce tiny negative eigenvalues.
+HERM_TOL, TRACE_TOL, EIG_FLOOR = 1e-10, 1e-9, -1e-8
 
-    The eigenvalue floor is slightly negative on purpose: Monte-Carlo
-    averages produce tiny negative eigenvalues.
-    """
+
+def assert_density_matrix(rho: np.ndarray) -> None:
+    """Raise ValueError unless rho is a physical density matrix."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm_dev = np.max(np.abs(rho - rho.conj().T))
-    if herm_dev > _atol(rho, herm_tol):
+    if herm_dev > _atol(rho, HERM_TOL):
         raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
     tr_dev = abs(np.trace(rho) - 1.0)
-    if tr_dev > trace_tol:
+    if tr_dev > TRACE_TOL:
         raise ValueError(f"trace deviates from 1 by {tr_dev:.3e}")
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if min_eig < eig_floor:
-        raise ValueError(f"minimum eigenvalue {min_eig:.3e} below floor {eig_floor:.1e}")
+    if min_eig < EIG_FLOOR:
+        raise ValueError(f"minimum eigenvalue {min_eig:.3e} below floor {EIG_FLOOR:.1e}")
 

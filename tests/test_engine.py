@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -160,7 +161,7 @@ def test_determinism_across_thread_counts():
 
 
 class SerialPool:
-    """Stands in for ThreadPoolExecutor: records max_workers and maps in this thread."""
+    """Stands in for ThreadPoolExecutor: records max_workers and runs each task in this thread."""
 
     requested = []
 
@@ -173,15 +174,17 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 @pytest.mark.parametrize("cpus,n_realizations,workers", [
     (2, 5 * 16, 2),      # cores bind
     (64, 5 * 16, 5),     # chunks bind
-    (None, 5 * 16, None),  # unknown core count: one worker, no pool
-    (64, 16, None),      # one chunk: no pool
+    (None, 5 * 16, 1),   # unknown core count: one worker
+    (64, 16, 1),         # one chunk: one worker
 ])
 def test_worker_count_is_bounded(monkeypatch, cpus, n_realizations, workers):
     monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
@@ -193,7 +196,7 @@ def test_worker_count_is_bounded(monkeypatch, cpus, n_realizations, workers):
     running = threading.active_count()
     got = run_ensemble(cfg)
     assert threading.active_count() == running
-    assert SerialPool.requested == ([] if workers is None else [workers])
+    assert SerialPool.requested == [workers]
     serial = run_ensemble(replace(cfg, threads=1))
     assert np.array_equal(got.means, serial.means)
     assert np.array_equal(got.stderrs, serial.stderrs)
@@ -206,7 +209,7 @@ def test_measure_reset_matches_formed_gates():
     res = run_ensemble(cfg)
     # Reference step: the SVD-formed gate's ancilla-0 columns on the engine's own noise.
     plan = build_plan(cfg.model, cfg.dt, cfg.trotter, cfg.m_nodes)
-    psi = np.broadcast_to(cfg.initial_vector(), (64, 2)).astype(complex)
+    psi = np.broadcast_to(cfg.start_state, (64, 2)).astype(complex)
     rhos, flips = [np.einsum("bi,bj->ij", psi, psi.conj()) / 64], []
     for inc, uni in engine._step_noise(cfg, plan, np.arange(64)):
         cols = gates_from_increments(plan, inc)[:, :, 0::2]
@@ -284,7 +287,7 @@ def test_config_validation():
                   observables=[("bad", np.array([[0, 1], [0, 0]], dtype=complex))])
     with pytest.raises(ValueError, match="norm"):
         RunConfig(model=model, dt=1e-6, n_steps=1, n_realizations=1,
-                  initial_state=np.array([2.0, 0.0])).initial_vector()
+                  initial_state=np.array([2.0, 0.0]))
     with pytest.raises(ValueError, match="chunk_size"):
         RunConfig(model=model, dt=1e-6, n_steps=1, n_realizations=1, chunk_size=0)
     with pytest.raises(ValueError, match="threads"):
@@ -299,6 +302,30 @@ def test_run_config_rejects_bad_field(field, value):
     # Library RunConfigs get the config schema's checks and field paths.
     with pytest.raises(ConfigError, match=rf"^run\.{field}: expected "):
         RunConfig(**{"model": presets.single_spin_model(), "dt": 1e-6, "n_steps": 1, field: value})
+
+
+@pytest.mark.parametrize("bad,path", [
+    ({"mode": "measure-reset", "initial_state": np.eye(2) / 2}, "initial_state"),
+    ({"mode": "partial-trace", "initial_state": np.diag([1.0, 0.5])}, "initial_state"),
+    ({"initial_state": np.array([1.0, 0.0, 0.0])}, "initial_state"),
+    ({"initial_state": np.array([2.0, 0.0])}, "initial_state"),
+    ({"observables": [("Z", np.eye(4))]}, r"observables\[0\]"),
+], ids=["mixed-state-in-measure-reset", "trace-1.5", "shape-3", "norm-2", "observable-shape"])
+def test_run_config_checks_state_and_observables(bad, path):
+    # Caught when the RunConfig is built, before any plan or chunk runs.
+    with pytest.raises(ConfigError, match=rf"^run\.{path}: "):
+        RunConfig(model=presets.single_spin_model(), dt=1e-6, n_steps=1, **bad)
+
+
+def test_run_config_start_state():
+    kw = {"model": presets.single_spin_model(), "dt": 1e-6, "n_steps": 1}
+    plus = np.array([3.0, 4.0]) / 5
+    assert np.array_equal(RunConfig(**kw).start_state, [1, 0])
+    assert np.array_equal(RunConfig(initial_state=plus, **kw).start_state, plus)
+    pt = RunConfig(mode="partial-trace", initial_state=plus, **kw)
+    assert np.array_equal(pt.start_state, np.outer(plus, plus))
+    assert np.array_equal(replace(pt, n_steps=2).start_state, pt.start_state)
+    assert pt.initial_state is plus
 
 
 def test_run_config_accepts_numpy_scalars():
@@ -363,6 +390,32 @@ def test_ensemble_independent_of_noise_block(monkeypatch, mode):
     one_step_blocks = run_ensemble(cfg)
     for field in ("means", "stderrs", "flip_fraction", "rho_mean"):
         assert np.array_equal(getattr(one_block, field), getattr(one_step_blocks, field)), field
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_chunk_memory_does_not_grow_with_chunk_count(monkeypatch, threads):
+    # The stand-in simulates nothing: the peak is the chunk sums held before they are folded.
+    def empty_chunk(config, plan, obs_stack, indices):
+        stats = engine._new_stats(config, len(obs_stack))
+        stats.count = len(indices)
+        return stats
+
+    monkeypatch.setattr(engine, "_run_chunk", empty_chunk)
+
+    def peak_bytes(n_chunks):
+        cfg = RunConfig(model=presets.single_spin_model(), dt=1e-6, n_steps=2000,
+                        n_realizations=n_chunks, observables=[("Z", Z)], record_rho=True,
+                        chunk_size=1, threads=threads)
+        tracemalloc.start()
+        try:
+            assert run_ensemble(cfg).n_realizations == n_chunks
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak_bytes(8), peak_bytes(64)
+    assert many <= 1.25 * few, (f"peak {few / 2**20:.2f} MB at 8 chunks, "
+                                f"{many / 2**20:.2f} MB at 64")
 
 
 def test_noise_memory_does_not_grow_with_steps():

@@ -1,16 +1,23 @@
 """Every function the benchmark tracer wraps, and every qnoise name the
-benchmark imports, still exists under its name.
+benchmark imports, still exists under its name, and the wrapped functions
+still run where the tracer counts them.
 
 perfbench/spans.py replaces functions at the names their callers look up
 (`HOOKS`, plus `qnoise.cli.expected_channel`). After a rename the tracer
 only counts the name in `trace.hooks_missing`, and the layer reads zero.
 A renamed import fails the benchmark run itself. The modules are loaded
-by path or parsed, and nothing is installed.
+by path or parsed, and nothing is installed; the traced CLI run undoes the
+tracer's wrappers when it ends.
 """
 import ast
 import importlib
+import json
 import types
 from pathlib import Path
+
+import pytest
+
+from qnoise import cli
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -28,6 +35,28 @@ def test_every_tracer_hook_resolves():
     missing = [f"{module}.{attr}" for module, attr in hooks
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_traced_chunks_run_inside_run_ensemble(tmp_path, monkeypatch, threads):
+    spans = load_spans()
+    # Re-set every hooked name to itself, so that teardown undoes the tracer's wrappers.
+    for module, attr, _, _ in spans.HOOKS:
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, attr, getattr(mod, attr))
+    monkeypatch.setattr(cli, "expected_channel", cli.expected_channel)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"preset": "single-spin"}, "run": {
+        "dt": 1e-6, "n_steps": 2, "n_realizations": 3, "chunk_size": 1,
+        "observables": [{"pauli": "Z"}]}}))
+    tracer = spans.Tracer("test")
+    tracer.install()
+    assert cli.main(["simulate", str(config), "--threads", threads,
+                     "--out-dir", str(tmp_path)]) == 0
+    assert tracer.missing == []
+    recorded = tracer.export()
+    [ensemble] = [s["id"] for s in recorded if s["name"] == "engine.run_ensemble"]
+    assert [s["parent"] for s in recorded if s["name"] == "engine.chunk"] == [ensemble] * 3
 
 
 def perfbench_references():
