@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .model import LindbladModel
+from .noisegate import TROTTER_MODES
 
 
 @dataclass(frozen=True)
@@ -27,52 +28,38 @@ class BoundInputs:
     max_L_norm: float      # max spectral norm of Lindblad operators
     dt: float
     n_steps: int
-    trotter_order: int = 1
-    exact_unitary: bool = False   # U(dt) exponentiated directly, no Trotter error
+    trotter: str           # run.trotter: "exact" has no Trotter error, "order-k" has kappa = k
 
     def __post_init__(self):
         if self.dt <= 0 or self.n_steps < 1:
             raise ValueError("need dt > 0 and n_steps >= 1")
         if self.gamma < 0 or self.omega < 0:
             raise ValueError("gamma and omega must be non-negative")
-        if self.trotter_order < 1:
-            raise ValueError(f"trotter_order must be >= 1, got {self.trotter_order}")
+        if self.trotter not in TROTTER_MODES:
+            raise ValueError(f"unknown trotter mode {self.trotter!r}, expected {TROTTER_MODES}")
 
     @property
     def T(self) -> float:
         return self.dt * self.n_steps
 
     @classmethod
-    def from_model(
-        cls,
-        model: LindbladModel,
-        dt: float,
-        n_steps: int,
-        trotter_order: int = 1,
-        exact_unitary: bool = False,
-    ) -> "BoundInputs":
+    def from_model(cls, model: LindbladModel, dt: float, n_steps: int, trotter: str):
         """Extract scales and spectral norms (largest singular values) from a model."""
-        rates = [t.rate for t in model.lindblad_terms]
-        coeffs = [abs(t.coefficient) for t in model.hamiltonian_terms]
+        def max_norm(terms) -> float:
+            return max((np.linalg.norm(t.operator, 2) for t in terms), default=0.0)
+
         return cls(
             K=model.k_local,
             m=max(model.max_locality, 1),
             n=model.n,
-            gamma=max(rates, default=0.0),
-            omega=max(coeffs, default=0.0),
+            gamma=max((t.rate for t in model.lindblad_terms), default=0.0),
+            omega=max((abs(t.coefficient) for t in model.hamiltonian_terms), default=0.0),
             J=len(model.hamiltonian_terms),
-            max_h_norm=max(
-                (np.linalg.svd(t.operator, compute_uv=False)[0] for t in model.hamiltonian_terms),
-                default=0.0,
-            ),
-            max_L_norm=max(
-                (np.linalg.svd(t.operator, compute_uv=False)[0] for t in model.lindblad_terms),
-                default=0.0,
-            ),
+            max_h_norm=max_norm(model.hamiltonian_terms),
+            max_L_norm=max_norm(model.lindblad_terms),
             dt=dt,
             n_steps=n_steps,
-            trotter_order=trotter_order,
-            exact_unitary=exact_unitary,
+            trotter=trotter,
         )
 
 
@@ -83,11 +70,11 @@ def epsilon_p_bound(inputs: BoundInputs) -> float:
 
 
 def epsilon_T_bound(inputs: BoundInputs) -> float:
-    """Per-step Trotter error: (K J max||h|| omega dt)^(kappa+1); 0 in exact-U mode."""
-    if inputs.exact_unitary:
+    """Per-step Trotter error: (K J max||h|| omega dt)^(kappa+1); 0 in exact mode."""
+    if inputs.trotter == "exact":
         return 0.0
     x = inputs.K * inputs.J * inputs.max_h_norm * inputs.omega * inputs.dt
-    return x ** (inputs.trotter_order + 1)
+    return x ** (3 if inputs.trotter == "order-2" else 2)  # kappa + 1
 
 
 def epsilon_global_bound(inputs: BoundInputs) -> float:
@@ -95,10 +82,10 @@ def epsilon_global_bound(inputs: BoundInputs) -> float:
 
     Dissipative part: T^2 K^2 (4^m - 1)^2 gamma^2 max||L||^4 / N_step.
     Trotter part: N_step * (K J max||h|| omega dt)^(kappa+1), which for
-    kappa = 1 equals T^2 K^2 J^2 omega^2 max||h||^2 / N_step.  Exact-U
+    kappa = 1 equals T^2 K^2 J^2 omega^2 max||h||^2 / N_step.  Exact
     mode drops the Trotter part, leaving N_step * eps_p.
     """
-    if inputs.exact_unitary:
+    if inputs.trotter == "exact":
         return inputs.n_steps * epsilon_p_bound(inputs)
     diss = (
         inputs.T**2
@@ -149,8 +136,7 @@ class BoundReport:
             f"  gamma = {i.gamma:.6g} 1/s   omega = {i.omega:.6g} rad/s",
             f"  max||h|| = {i.max_h_norm:.6g}   max||L|| = {i.max_L_norm:.6g}",
             f"  dt = {i.dt:.6g} s   N_step = {i.n_steps}   T = {i.T:.6g} s",
-            f"  trotter order = {i.trotter_order}"
-            + ("   (exact U, no Trotter error)" if i.exact_unitary else ""),
+            f"  trotter = {i.trotter}",
             f"  eps_p  (per step)        = {self.eps_p:.6e}",
             f"  eps_T  (per step)        = {self.eps_T:.6e}",
             f"  eps    (per step, total) = {self.eps_step:.6e}",

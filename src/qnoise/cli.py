@@ -36,14 +36,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _bound_inputs(model, dt: float, n_steps: int, trotter: str) -> bounds_mod.BoundInputs:
-    """Bound inputs for a run.trotter setting; `exact` has no Trotter error."""
-    return bounds_mod.BoundInputs.from_model(
-        model, dt, n_steps,
-        trotter_order=2 if trotter == "order-2" else 1, exact_unitary=(trotter == "exact"),
-    )
-
-
 def _out_dir(args) -> Path:
     out = args.out_dir or os.environ.get("QNOISE_OUT") or "."
     path = Path(out)
@@ -102,7 +94,14 @@ def cmd_simulate(cfg: Config, args) -> int:
 
 
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Log-log slope of y against x; nan, with no log taken, when a value is <= 0."""
+    if min(x.min(), y.min()) <= 0:
+        return float("nan")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
+def _slope_text(slope: float) -> str:
+    return "undefined: an error is 0" if np.isnan(slope) else f"{slope:.3f}"
 
 
 def cmd_sweep_dt(cfg: Config, args) -> int:
@@ -133,7 +132,7 @@ def cmd_sweep_dt(cfg: Config, args) -> int:
             rho_sa = oracle.step_sa(model, rho_sa, dt)
         t_qn = linalg.trace_distance(rho_qn, ref)
         t_sa = linalg.trace_distance(rho_sa, ref)
-        inputs = _bound_inputs(model, dt, n_step, run["trotter"])
+        inputs = bounds_mod.BoundInputs.from_model(model, dt, n_step, run["trotter"])
         bound = bounds_mod.per_step_sum_bound(inputs)
         rows.append(f"{_fmt(gamma * dt)},{_fmt(t_qn)},{_fmt(t_sa)},{_fmt(bound)}")
         gdts.append(gamma * dt)
@@ -157,8 +156,8 @@ def cmd_sweep_dt(cfg: Config, args) -> int:
     slope_qn = _fit_slope(np.array(gdts), np.array(t_qns))
     slope_sa = _fit_slope(np.array(gdts), np.array(t_sas))
     print(f"sweep over {len(dts)} dt values ({exp['compose']} composition)")
-    print(f"  QN log-log slope = {slope_qn:.3f}")
-    print(f"  SA log-log slope = {slope_sa:.3f}")
+    print(f"  QN log-log slope = {_slope_text(slope_qn)}")
+    print(f"  SA log-log slope = {_slope_text(slope_sa)}")
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 
@@ -212,7 +211,7 @@ def cmd_sampling_error(cfg: Config, args) -> int:
         ],
     )
     print(f"sampling error of <{label}> over N_r={n_r_values}, {repetitions} repetitions")
-    print(f"  fitted slope = {slope:.3f}")
+    print(f"  fitted slope = {_slope_text(slope)}")
     print(f"wrote {out / 'sampling.csv'}")
     return 0
 
@@ -224,7 +223,7 @@ def cmd_sampling_error(cfg: Config, args) -> int:
 
 def cmd_bounds(cfg: Config, args) -> int:
     config = cfg.run_config
-    inputs = _bound_inputs(cfg.model, config.dt, config.n_steps, config.trotter)
+    inputs = bounds_mod.BoundInputs.from_model(cfg.model, config.dt, config.n_steps, config.trotter)
     report = bounds_mod.bound_report(inputs, cfg.experiment["eps_target"])
     print(report.format_text())
     print(json.dumps(report.to_json()))

@@ -310,16 +310,14 @@ def _model(spec: dict, path: str) -> LindbladModel:
         return PRESETS[spec["preset"]]()
     n, h_terms, l_terms = spec["n"], [], []
     for i, entry in enumerate(spec["hamiltonian"] or ()):
-        op, support = _operator(entry, at(f"hamiltonian[{i}]"), n)
+        op = _operator(entry, at(f"hamiltonian[{i}]"), n)[0]
         try:
-            h_terms.append(HamiltonianTerm(entry["coeff"], op, len(support),
-                                           entry["label"] or f"H{i}"))
+            h_terms.append(HamiltonianTerm(entry["coeff"], op, entry["label"] or f"H{i}"))
         except ValueError as exc:
             raise ConfigError(at(f"hamiltonian[{i}]"), str(exc)) from None
     for i, entry in enumerate(spec["lindblad"] or ()):
         op, support = _operator(entry, at(f"lindblad[{i}]"), n)
-        l_terms.append(LindbladTerm(entry["rate"], op, len(support), support,
-                                    entry["label"] or f"L{i}"))
+        l_terms.append(LindbladTerm(entry["rate"], op, support, entry["label"] or f"L{i}"))
     return LindbladModel(n, tuple(h_terms), tuple(l_terms))
 
 

@@ -153,12 +153,11 @@ def _step_noise(config: RunConfig, plan: NoiseGatePlan, indices: np.ndarray):
 def _record(stats: _ChunkStats, step: int, obs_stack, state: np.ndarray):
     """Add one step's (B, d) statevectors or (B, d, d) density matrices."""
     rho = state if state.ndim == 3 else np.einsum("bi,bj->bij", state, state.conj())
-    if obs_stack.size:
-        vals = np.einsum("oij,bji->ob", obs_stack, rho).real
-        total = vals.sum(axis=1)
-        stats.obs_sum[:, step] += total
-        # Two passes over the chunk's values of this step: centre, then square.
-        stats.obs_m2[:, step] += ((vals - (total / len(rho))[:, None]) ** 2).sum(axis=1)
+    vals = np.einsum("oij,bji->ob", obs_stack, rho).real
+    total = vals.sum(axis=1)
+    stats.obs_sum[:, step] += total
+    # Two passes over the chunk's values of this step: centre, then square.
+    stats.obs_m2[:, step] += ((vals - (total / len(rho))[:, None]) ** 2).sum(axis=1)
     if stats.rho_sum is not None:
         stats.rho_sum[step] += rho.sum(axis=0)
 
@@ -215,11 +214,7 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     """Average Alg.-style trajectories over n_realizations realizations."""
     plan = build_plan(config.model, config.dt, config.trotter, config.m_nodes)
     d = config.model.dim
-    obs_stack = (
-        np.array([np.asarray(op, dtype=complex) for _, op in config.observables])
-        if config.observables
-        else np.zeros((0, d, d), complex)
-    )
+    obs_stack = np.array([op for _, op in config.observables], dtype=complex).reshape(-1, d, d)
 
     all_indices = np.arange(config.n_realizations)
     chunks = [

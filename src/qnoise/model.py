@@ -1,4 +1,5 @@
-"""Lindblad problem description: Hamiltonian terms, dissipator terms, locality.
+"""Lindblad problem description: Hamiltonian terms, and dissipator terms whose
+qubit supports alone give the bounds' support count K and locality m.
 
 Units: model files carry SI pairs (seconds for times, rad/s for
 frequencies, 1/s for rates).  Internally hbar = 1, so only the
@@ -53,7 +54,6 @@ class PauliString:
 class HamiltonianTerm:
     coefficient: float          # rad/s
     operator: np.ndarray        # dimensionless Hermitian operator
-    locality: int
     label: str = ""
 
     def __post_init__(self):
@@ -68,8 +68,7 @@ class HamiltonianTerm:
 class LindbladTerm:
     rate: float                 # 1/s
     operator: np.ndarray
-    locality: int
-    support: tuple[int, ...] = ()
+    support: tuple[int, ...] = ()   # qubits the operator acts on; () means all n
     label: str = ""
 
     def __post_init__(self):
@@ -92,6 +91,11 @@ class LindbladModel:
         for t in self.lindblad_terms:
             if t.operator.shape != (d, d):
                 raise ValueError(f"Lindblad term {t.label!r} has wrong dimension")
+            s = t.support
+            if not isinstance(s, tuple) or len(set(s)) != len(s) or not all(
+                    isinstance(q, (int, np.integer)) and 0 <= q < self.n for q in s):
+                raise ValueError(f"Lindblad term {t.label!r} has support {s!r}, "
+                                 f"not distinct qubit indices < {self.n}")
 
     @property
     def dim(self) -> int:
@@ -104,10 +108,8 @@ class LindbladModel:
 
     @property
     def max_locality(self) -> int:
-        """Largest dissipator locality m."""
-        if not self.lindblad_terms:
-            return 0
-        return max(t.locality for t in self.lindblad_terms)
+        """Largest dissipator locality m: the size of the largest support."""
+        return max((len(t.support or range(self.n)) for t in self.lindblad_terms), default=0)
 
 
 def total_hamiltonian(model: LindbladModel) -> np.ndarray:

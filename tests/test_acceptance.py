@@ -43,7 +43,7 @@ def step_error_sweep(m_nodes=128):
         ref = evolve_exact(model, RHO0, dt)
         t_qn.append(linalg.trace_distance(expected_channel(model, dt, M=m_nodes)(RHO0), ref))
         t_sa.append(linalg.trace_distance(step_sa(model, RHO0, dt), ref))
-        bound.append(epsilon_p_bound(BoundInputs.from_model(model, dt, 1, exact_unitary=True)))
+        bound.append(epsilon_p_bound(BoundInputs.from_model(model, dt, 1, "exact")))
     out = (gdts, np.array(t_qn), np.array(t_sa), np.array(bound))
     _sweep_cache[m_nodes] = out
     return out
@@ -180,7 +180,7 @@ def test_criterion_7_oracle_cross_checks():
 
     from qnoise.model import LindbladModel, LindbladTerm
     gamma, t = 0.3, 1.2
-    deph = LindbladModel(1, (), (LindbladTerm(gamma, Z, 1, (0,), "Z"),))
+    deph = LindbladModel(1, (), (LindbladTerm(gamma, Z, (0,), "Z"),))
     rho0 = np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex)
     off = evolve_exact(deph, rho0, t)[0, 1]
     dev = abs(off - 0.4 * np.exp(-2 * gamma * t))

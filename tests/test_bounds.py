@@ -20,7 +20,7 @@ from conftest import random_density
 def single_spin_inputs(**overrides):
     base = dict(K=1, m=1, n=1, gamma=100.0, omega=presets.SINGLE_SPIN_OMEGA / 2,
                 J=1, max_h_norm=1.0, max_L_norm=1.0, dt=1e-6, n_steps=30,
-                exact_unitary=True)
+                trotter="exact")
     base.update(overrides)
     return BoundInputs(**base)
 
@@ -42,18 +42,18 @@ def test_epsilon_p_zero_rate_and_quadratic_scaling():
 
 def test_epsilon_T_commuting_case_not_tight():
     # single Hamiltonian term: Trotter is exact yet the bound is positive
-    inp = single_spin_inputs(exact_unitary=False)
+    inp = single_spin_inputs(trotter="order-1")
     assert epsilon_T_bound(inp) == pytest.approx(
         (1 * 1 * 1.0 * inp.omega * 1e-6) ** 2, rel=1e-12
     )
-    assert epsilon_T_bound(single_spin_inputs(exact_unitary=False, omega=0.0)) == 0.0
-    assert epsilon_T_bound(single_spin_inputs()) == 0.0  # exact-U mode
+    assert epsilon_T_bound(single_spin_inputs(trotter="order-1", omega=0.0)) == 0.0
+    assert epsilon_T_bound(single_spin_inputs()) == 0.0  # exact mode
 
 
 def test_epsilon_T_dominates_measured_trotter_error(rng):
     model = presets.two_molecule_model()
     dt = 1e-4
-    inp = BoundInputs.from_model(model, dt, 1)
+    inp = BoundInputs.from_model(model, dt, 1, "order-1")
     u_exact = closed_propagator(model, dt, "exact")
     u_trot = closed_propagator(model, dt, "order-1")
     rho = random_density(rng, 4)
@@ -81,8 +81,8 @@ def test_epsilon_global_vanishes_with_many_steps():
 
 
 def test_higher_trotter_order_exponent():
-    inp1 = single_spin_inputs(exact_unitary=False, trotter_order=1)
-    inp2 = single_spin_inputs(exact_unitary=False, trotter_order=2)
+    inp1 = single_spin_inputs(trotter="order-1")
+    inp2 = single_spin_inputs(trotter="order-2")
     x = inp1.K * inp1.J * inp1.max_h_norm * inp1.omega * inp1.dt
     assert epsilon_T_bound(inp1) == pytest.approx(x**2, rel=1e-12)
     assert epsilon_T_bound(inp2) == pytest.approx(x**3, rel=1e-12)
@@ -109,7 +109,8 @@ def test_gate_count_simple_substitution():
 def test_gate_count_qubit_scaling_vs_binomial_oracle():
     def inputs_for(n):
         return BoundInputs(K=math.comb(n, 2), m=2, n=n, gamma=1.0, omega=1.0,
-                           J=1, max_h_norm=1.0, max_L_norm=1.0, dt=0.1, n_steps=10)
+                           J=1, max_h_norm=1.0, max_L_norm=1.0, dt=0.1, n_steps=10,
+                           trotter="order-1")
 
     eps = 1e-9
     k2, k4 = math.comb(2, 2), math.comb(4, 2)
@@ -124,15 +125,15 @@ def test_monotonicity():
         bumped = single_spin_inputs(**{field: larger})
         assert epsilon_p_bound(bumped) >= epsilon_p_bound(base)
         assert epsilon_global_bound(bumped) >= epsilon_global_bound(base)
-    t1 = epsilon_T_bound(single_spin_inputs(exact_unitary=False))
-    t2 = epsilon_T_bound(single_spin_inputs(exact_unitary=False, omega=1e6))
+    t1 = epsilon_T_bound(single_spin_inputs(trotter="order-1"))
+    t2 = epsilon_T_bound(single_spin_inputs(trotter="order-1", omega=1e6))
     assert t2 >= t1
 
 
 def test_scale_invariance():
-    a = single_spin_inputs(exact_unitary=False)
+    a = single_spin_inputs(trotter="order-1")
     c = 7.0
-    b = single_spin_inputs(exact_unitary=False, gamma=a.gamma * c,
+    b = single_spin_inputs(trotter="order-1", gamma=a.gamma * c,
                            omega=a.omega * c, dt=a.dt / c)
     assert epsilon_p_bound(b) == pytest.approx(epsilon_p_bound(a), rel=1e-12)
     assert epsilon_T_bound(b) == pytest.approx(epsilon_T_bound(a), rel=1e-12)
@@ -141,7 +142,7 @@ def test_scale_invariance():
 
 def test_from_model_extraction():
     model = presets.two_molecule_model()
-    inp = BoundInputs.from_model(model, 0.05, 40)
+    inp = BoundInputs.from_model(model, 0.05, 40, "order-1")
     assert inp.K == 3
     assert inp.m == 2
     assert inp.n == 2
@@ -168,5 +169,19 @@ def test_input_validation():
         single_spin_inputs(dt=-1.0)
     with pytest.raises(ValueError):
         single_spin_inputs(gamma=-1.0)
-    with pytest.raises(ValueError):
-        single_spin_inputs(trotter_order=0)
+    with pytest.raises(ValueError, match="unknown trotter mode"):
+        single_spin_inputs(trotter="order-0")
+
+
+@pytest.mark.parametrize("trotter", ["order-3", "Exact", 2])
+def test_trotter_must_be_a_propagator_mode(trotter):
+    # No propagator implements these, so no bound may be computed for them.
+    with pytest.raises(ValueError, match="unknown trotter mode"):
+        single_spin_inputs(trotter=trotter)
+    with pytest.raises(ValueError, match="unknown trotter mode"):
+        BoundInputs.from_model(presets.single_spin_model(), 1e-6, 30, trotter)
+
+
+def test_trotter_is_required():
+    with pytest.raises(TypeError, match="trotter"):
+        BoundInputs.from_model(presets.single_spin_model(), 1e-6, 30)

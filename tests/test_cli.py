@@ -155,8 +155,20 @@ def test_sweep_dt_bound_follows_run_trotter(tmp_path):
     model = two_molecule_model()
     gamma = max(t.rate for t in model.lindblad_terms)
     for gdt, exact, order1 in zip(gamma_dts, bound["exact"], bound["order-1"]):
-        assert order1 == per_step_sum_bound(BoundInputs.from_model(model, gdt / gamma, 1))
+        assert order1 == per_step_sum_bound(BoundInputs.from_model(model, gdt / gamma, 1, "order-1"))
         assert order1 > exact
+
+
+def test_sweep_dt_zero_error_slope_is_undefined(tmp_path, capsys):
+    # Pure dephasing of |0> leaves the state fixed, so both errors are 0 at every dt.
+    doc = {"model": {"n": 1, "lindblad": [{"pauli": "Z", "rate": 1.0}]},
+           "run": {"initial_state": "0"}, "experiment": {"dt_values": [0.01, 0.1]}}
+    main(["sweep-dt", write_config(tmp_path, doc), "--out-dir", str(tmp_path)])
+    _, rows = parse_csv(tmp_path / "sweep.csv")
+    assert [(float(r[1]), float(r[2])) for r in rows] == [(0.0, 0.0), (0.0, 0.0)]
+    out = capsys.readouterr().out
+    assert "QN log-log slope = undefined: an error is 0" in out
+    assert "SA log-log slope = undefined: an error is 0" in out
 
 
 def test_sweep_dt_total_time_composition(tmp_path):
@@ -417,14 +429,18 @@ def test_sweep_total_time_horizon(tmp_path):
         main(["sweep-dt", cfg, "--out-dir", str(tmp_path)])
 
 
-def test_bounds_trotter_order_follows_run_trotter(tmp_path):
+@pytest.mark.parametrize("trotter", ["exact", "order-1", "order-2"])
+def test_bounds_trotter_order_follows_run_trotter(tmp_path, capsys, trotter):
     doc = {"model": {"preset": "single-spin"},
-           "run": {"dt": 1e-6, "n_steps": 30, "trotter": "order-2"}}
+           "run": {"dt": 1e-6, "n_steps": 30, "trotter": trotter}}
     main(["bounds", write_config(tmp_path, doc), "--out-dir", str(tmp_path)])
     report = json.loads((tmp_path / "bounds.json").read_text())
-    expected = bound_report(BoundInputs.from_model(single_spin_model(), 1e-6, 30, trotter_order=2))
+    assert report["inputs"]["trotter"] == trotter
+    assert f"  trotter = {trotter}\n" in capsys.readouterr().out
+    expected = bound_report(BoundInputs.from_model(single_spin_model(), 1e-6, 30, trotter))
     assert report == json.loads(json.dumps(expected.to_json()))
-    assert report["eps_T"] == pytest.approx(0.0179, abs=1e-4)
+    eps_T = {"exact": 0.0, "order-1": 0.0685, "order-2": 0.0179}[trotter]
+    assert report["eps_T"] == pytest.approx(eps_T, abs=1e-4)
 
 
 def test_readme_documents_every_config_key():

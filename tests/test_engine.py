@@ -29,7 +29,7 @@ Z = PauliString("Z").matrix()
 
 
 def dephasing_model(gamma=0.5):
-    return LindbladModel(1, (), (LindbladTerm(gamma, Z, 1, (0,), "Z"),))
+    return LindbladModel(1, (), (LindbladTerm(gamma, Z, (0,), "Z"),))
 
 
 def scalar_seed_reference(master_seed, index, stream):
@@ -97,7 +97,7 @@ def test_reset_ancilla_born_frequencies(rng):
 def test_run_trajectory_noiseless_rabi():
     omega = 2.0
     model = LindbladModel(
-        1, (HamiltonianTerm(omega / 2, X, 1),), (LindbladTerm(0.0, Z, 1, (0,), "Z"),)
+        1, (HamiltonianTerm(omega / 2, X),), (LindbladTerm(0.0, Z, (0,), "Z"),)
     )
     for mode in ("measure-reset", "partial-trace"):
         # The mean over one realization is trajectory 0's state at each step.
@@ -108,6 +108,19 @@ def test_run_trajectory_noiseless_rabi():
             u = expm(-1j * (omega / 2) * (0.1 * j) * X)
             expected = u @ np.diag([1.0, 0.0]).astype(complex) @ u.conj().T
             assert linalg.trace_distance(rhos[j], expected) <= 1e-9
+
+
+@pytest.mark.parametrize("mode", ["measure-reset", "partial-trace"])
+def test_run_without_observables_records_rho(mode):
+    cfg = RunConfig(model=presets.single_spin_model(), dt=1e-6, n_steps=4, n_realizations=6,
+                    master_seed=11, mode=mode, record_rho=True, chunk_size=4)
+    bare = run_ensemble(cfg)
+    assert bare.observable_labels == ()
+    assert bare.means.shape == bare.stderrs.shape == (0, 5)
+    # Observables only read the states, so the recorded states are the same bytes.
+    watched = run_ensemble(replace(cfg, observables=[("Z", Z)]))
+    assert bare.rho_mean.tobytes() == watched.rho_mean.tobytes()
+    assert bare.flip_fraction.tobytes() == watched.flip_fraction.tobytes()
 
 
 def test_flip_fraction_matches_jump_rate():

@@ -13,6 +13,7 @@ from qnoise.model import (
     liouvillian,
     total_hamiltonian,
 )
+from qnoise.bounds import BoundInputs
 from qnoise.config import ConfigError, load_model, matrix_to_json
 
 from conftest import is_unitary, random_density
@@ -23,7 +24,7 @@ Z = PauliString("Z").matrix()
 
 
 def dephasing_model(gamma=0.5):
-    return LindbladModel(1, (), (LindbladTerm(gamma, Z, 1, (0,), "Z"),))
+    return LindbladModel(1, (), (LindbladTerm(gamma, Z, (0,), "Z"),))
 
 
 def test_pauli_string_matrices():
@@ -89,7 +90,7 @@ def test_liouvillian_dephasing_decay():
 
 
 def test_liouvillian_closed_system(rng):
-    model = LindbladModel(1, (HamiltonianTerm(1.3, X, 1, "x"),), ())
+    model = LindbladModel(1, (HamiltonianTerm(1.3, X, "x"),), ())
     t = 0.4
     rho0 = random_density(rng, 2)
     prop = scipy.linalg.expm(liouvillian(model) * t)
@@ -120,6 +121,35 @@ def test_locality_metadata():
     assert presets.single_spin_model().k_local == 1
 
 
+def test_locality_and_support_count_follow_the_supports():
+    xx = PauliString("XX").matrix()
+    model = LindbladModel(2, (), (LindbladTerm(0.1, xx, (0, 1), "XX"),))
+    assert (model.k_local, model.max_locality) == (1, 2)
+    assert BoundInputs.from_model(model, 0.01, 1, "exact").m == 2
+    doc = {"n": 2, "lindblad": [{"matrix": matrix_to_json(xx), "support": [0, 1], "rate": 0.1}]}
+    assert load_model(doc).max_locality == 2
+    # An empty support means all n qubits; no dissipator means no locality.
+    assert LindbladModel(2, (), (LindbladTerm(0.1, xx),)).max_locality == 2
+    assert LindbladModel(2, (), ()).max_locality == 0
+
+
+@pytest.mark.parametrize("support", [(0, 0), (2,), (-1,), (0.0,), [0], 1],
+                         ids=["repeated", "out-of-range", "negative", "float", "list", "int"])
+def test_bad_support_names_the_term(support):
+    with pytest.raises(ValueError, match=r"Lindblad term 'bad' has support"):
+        LindbladModel(2, (), (LindbladTerm(0.1, np.eye(4), support, "bad"),))
+
+
+def test_terms_take_no_locality():
+    # The old positional locality now lands in `support` and fails loudly.
+    with pytest.raises(ValueError, match=r"Lindblad term \(0,\) has support 1,"):
+        LindbladModel(1, (), (LindbladTerm(0.5, Z, 1, (0,)),))
+    with pytest.raises(TypeError, match="locality"):
+        HamiltonianTerm(1.0, X, locality=7)
+    with pytest.raises(TypeError, match="locality"):
+        LindbladTerm(0.5, Z, locality=1, support=(0,))
+
+
 def test_load_model_pauli_terms():
     model = load_model(
         {
@@ -132,7 +162,7 @@ def test_load_model_pauli_terms():
     assert model.n == 2
     assert_allclose(total_hamiltonian(model), 0.5 * np.kron(X, np.eye(2)))
     assert model.lindblad_terms[0].support == (0, 1)
-    assert model.lindblad_terms[0].locality == 2
+    assert model.max_locality == 2
 
 
 def test_load_model_matrix_terms():
@@ -201,9 +231,9 @@ def test_load_model_from_file(tmp_path):
 
 def test_negative_rate_rejected():
     with pytest.raises(ValueError, match="negative rate"):
-        LindbladTerm(-0.1, Z, 1, (0,))
+        LindbladTerm(-0.1, Z, (0,))
 
 
 def test_non_hermitian_hamiltonian_rejected():
     with pytest.raises(ValueError, match="not Hermitian"):
-        HamiltonianTerm(1.0, np.array([[0, 1], [0, 0]], dtype=complex), 1)
+        HamiltonianTerm(1.0, np.array([[0, 1], [0, 0]], dtype=complex))

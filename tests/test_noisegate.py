@@ -36,7 +36,7 @@ Z = PauliString("Z").matrix()
 
 def driven_dephasing(omega=2.0, gamma=0.5):
     return LindbladModel(
-        1, (HamiltonianTerm(omega / 2, X, 1),), (LindbladTerm(gamma, Z, 1, (0,), "Z"),)
+        1, (HamiltonianTerm(omega / 2, X),), (LindbladTerm(gamma, Z, (0,), "Z"),)
     )
 
 
@@ -64,7 +64,7 @@ def test_interaction_picture_identity_at_zero():
 
 def test_interaction_picture_commuting_case():
     model = LindbladModel(
-        1, (HamiltonianTerm(3.0, Z, 1),), (LindbladTerm(1.0, Z, 1, (0,), "Z"),)
+        1, (HamiltonianTerm(3.0, Z),), (LindbladTerm(1.0, Z, (0,), "Z"),)
     )
     plan = build_plan(model, 2.0, M=20)  # nodes s_r = 0.1 r
     for r in [1, 7, 19]:  # s = 0.1, 0.7, 1.9
@@ -92,10 +92,10 @@ def test_coupling_operator_structure():
 
 
 def test_build_plan_empty_and_constant():
-    no_noise = LindbladModel(1, (HamiltonianTerm(1.0, X, 1),), ())
+    no_noise = LindbladModel(1, (HamiltonianTerm(1.0, X),), ())
     assert len(build_plan(no_noise, 0.1).rates) == 0
 
-    free = LindbladModel(1, (), (LindbladTerm(1.0, Z, 1, (0,), "Z"),))
+    free = LindbladModel(1, (), (LindbladTerm(1.0, Z, (0,), "Z"),))
     plan = build_plan(free, 0.1, M=4)
     j = coupling_operator(plan.l_nodes[0])
     for r in range(4):
@@ -139,7 +139,7 @@ def test_sample_Sk_zero_increments_and_zero_mean(rng):
 def test_sample_Sk_constant_integrand_variance(rng):
     # H = 0: S = J * W(dt), so each entry has variance |J_ij|^2 dt
     gamma, dt = 1.0, 0.01
-    model = LindbladModel(1, (), (LindbladTerm(gamma, SIGMA_MINUS, 1, (0,), "low"),))
+    model = LindbladModel(1, (), (LindbladTerm(gamma, SIGMA_MINUS, (0,), "low"),))
     plan = build_plan(model, dt, M=8)
     n = 100_000
     dw = rng.normal(0.0, np.sqrt(dt / 8), size=(n, 8))
@@ -191,7 +191,7 @@ def test_sample_Sk_covariance_against_trig_integrals(rng):
 
 def test_sample_gate_noiseless_limit(rng):
     model = LindbladModel(
-        1, (HamiltonianTerm(1.0, X, 1),), (LindbladTerm(0.0, Z, 1, (0,), "Z"),)
+        1, (HamiltonianTerm(1.0, X),), (LindbladTerm(0.0, Z, (0,), "Z"),)
     )
     plan = build_plan(model, 0.1, M=4)
     gate = gates_from_increments(plan, sample_noise(plan, rng))
@@ -237,7 +237,7 @@ def test_gate_average_matches_expected_channel(rng):
 
 
 def test_expected_channel_noiseless(rng):
-    model = LindbladModel(1, (HamiltonianTerm(1.0, X, 1),), ())
+    model = LindbladModel(1, (HamiltonianTerm(1.0, X),), ())
     rho = random_density(rng, 2)
     u = closed_propagator(model, 0.2)
     assert_allclose(expected_channel(model, 0.2)(rho), u @ rho @ u.conj().T, atol=1e-12)
@@ -245,7 +245,7 @@ def test_expected_channel_noiseless(rng):
 
 def test_expected_channel_dephasing_exact():
     gamma, dt = 0.4, 0.05
-    model = LindbladModel(1, (), (LindbladTerm(gamma, Z, 1, (0,), "Z"),))
+    model = LindbladModel(1, (), (LindbladTerm(gamma, Z, (0,), "Z"),))
     rho = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
     out = expected_channel(model, dt, M=8)(rho)
     assert out[0, 1] == pytest.approx(rho[0, 1] * (1 - 2 * gamma * dt), abs=1e-14)
@@ -277,7 +277,7 @@ def test_expected_channel_sub_step_convergence():
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     a = expected_channel(model, dt, M=64)(rho0)
     b = expected_channel(model, dt, M=128)(rho0)
-    bound = epsilon_p_bound(BoundInputs.from_model(model, dt, 1, exact_unitary=True))
+    bound = epsilon_p_bound(BoundInputs.from_model(model, dt, 1, "exact"))
     assert linalg.trace_distance(a, b) < bound
 
 
@@ -357,10 +357,10 @@ def lowering_model():
     # the X channel has rate zero and must be skipped.
     return LindbladModel(
         1,
-        (HamiltonianTerm(1.5, Z, 1),),
+        (HamiltonianTerm(1.5, Z),),
         (
-            LindbladTerm(0.8, SIGMA_MINUS, 1, (0,), "lower"),
-            LindbladTerm(0.0, X, 1, (0,), "off"),
+            LindbladTerm(0.8, SIGMA_MINUS, (0,), "lower"),
+            LindbladTerm(0.0, X, (0,), "off"),
         ),
     )
 

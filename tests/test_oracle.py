@@ -14,11 +14,11 @@ X = PauliString("X").matrix()
 
 
 def dephasing_model(gamma):
-    return LindbladModel(1, (), (LindbladTerm(gamma, Z, 1, (0,), "Z"),))
+    return LindbladModel(1, (), (LindbladTerm(gamma, Z, (0,), "Z"),))
 
 
 def test_evolve_exact_closed_limit(rng):
-    model = LindbladModel(1, (HamiltonianTerm(0.8, X, 1),), ())
+    model = LindbladModel(1, (HamiltonianTerm(0.8, X),), ())
     rho0 = random_density(rng, 2)
     t = 1.3
     u = expm(-1j * 0.8 * t * X)
@@ -74,7 +74,7 @@ def test_rk4_zero_time(rng):
 
 
 def test_rk4_closed_limit(rng):
-    model = LindbladModel(1, (HamiltonianTerm(1.0, X, 1),), ())
+    model = LindbladModel(1, (HamiltonianTerm(1.0, X),), ())
     rho0 = random_density(rng, 2)
     u = expm(-1j * 0.5 * X)
     assert_allclose(evolve_rk4(model, rho0, 0.5, 2000), u @ rho0 @ u.conj().T, atol=1e-10)

@@ -20,11 +20,11 @@ def hand_single_spin(omega=presets.SINGLE_SPIN_OMEGA, gamma=presets.SINGLE_SPIN_
     x, z = PauliString("X").matrix(), PauliString("Z").matrix()
     return LindbladModel(
         n=1,
-        hamiltonian_terms=(HamiltonianTerm(omega / 2.0, x, locality=1, label="drive"),),
+        hamiltonian_terms=(HamiltonianTerm(omega / 2.0, x, label="drive"),),
         lindblad_terms=(
-            LindbladTerm(gamma, SIGMA_PLUS, locality=1, support=(0,), label="raise"),
-            LindbladTerm(gamma, SIGMA_MINUS, locality=1, support=(0,), label="lower"),
-            LindbladTerm(gamma, z, locality=1, support=(0,), label="dephase"),
+            LindbladTerm(gamma, SIGMA_PLUS, support=(0,), label="raise"),
+            LindbladTerm(gamma, SIGMA_MINUS, support=(0,), label="lower"),
+            LindbladTerm(gamma, z, support=(0,), label="dephase"),
         ),
     )
 
@@ -32,17 +32,15 @@ def hand_single_spin(omega=presets.SINGLE_SPIN_OMEGA, gamma=presets.SINGLE_SPIN_
 def hand_two_molecule():
     e, j = presets.TWO_MOLECULE_E, presets.TWO_MOLECULE_J
     h_terms = (
-        HamiltonianTerm(-e[0] / 2.0, PauliString("ZI").matrix(), locality=1, label="E0"),
-        HamiltonianTerm(-e[1] / 2.0, PauliString("IZ").matrix(), locality=1, label="E1"),
-        HamiltonianTerm(j / 2.0, PauliString("XX").matrix(), locality=2, label="JXX"),
-        HamiltonianTerm(j / 2.0, PauliString("YY").matrix(), locality=2, label="JYY"),
+        HamiltonianTerm(-e[0] / 2.0, PauliString("ZI").matrix(), label="E0"),
+        HamiltonianTerm(-e[1] / 2.0, PauliString("IZ").matrix(), label="E1"),
+        HamiltonianTerm(j / 2.0, PauliString("XX").matrix(), label="JXX"),
+        HamiltonianTerm(j / 2.0, PauliString("YY").matrix(), label="JYY"),
     )
     l_terms = []
     for letters, rate in presets.TWO_MOLECULE_RATES.items():
         ps = PauliString(letters)
-        weight = sum(c != "I" for c in letters)
-        l_terms.append(LindbladTerm(rate, ps.matrix(), locality=max(weight, 1),
-                                    support=ps.support or (0,), label=letters))
+        l_terms.append(LindbladTerm(rate, ps.matrix(), support=ps.support or (0,), label=letters))
     return LindbladModel(2, h_terms, tuple(l_terms))
 
 
