@@ -145,7 +145,7 @@ class RunConfig:
     initial_state: Optional[np.ndarray] = None   # statevector (d,) or density matrix (d,d)
     record_rho: bool = False
     threads: int = 1
-    chunk_size: int = 256
+    chunk_size: int = 512
     # A unit (d,) statevector in measure-reset, a (d, d) density matrix in partial-trace.
     start_state: np.ndarray = field(init=False, repr=False)
 

@@ -50,6 +50,11 @@ class PauliString:
         return m
 
 
+def _check_label(kind: str, label) -> None:
+    if not isinstance(label, str):
+        raise TypeError(f"{kind} term label {label!r} is not a str")
+
+
 @dataclass(frozen=True)
 class HamiltonianTerm:
     coefficient: float          # rad/s
@@ -57,6 +62,7 @@ class HamiltonianTerm:
     label: str = ""
 
     def __post_init__(self):
+        _check_label("Hamiltonian", self.label)
         if not linalg.is_hermitian(self.operator, 1e-12):
             raise ValueError(f"Hamiltonian term {self.label!r} is not Hermitian")
 
@@ -72,6 +78,12 @@ class LindbladTerm:
     label: str = ""
 
     def __post_init__(self):
+        s = self.support
+        if not isinstance(s, tuple) or len(set(s)) != len(s) or not all(
+                isinstance(q, (int, np.integer)) and q >= 0 for q in s):
+            raise ValueError(f"Lindblad term {self.label!r} has support {s!r}, "
+                             f"not distinct qubit indices")
+        _check_label("Lindblad", self.label)
         if self.rate < 0:
             raise ValueError(f"Lindblad term {self.label!r} has negative rate {self.rate}")
 
@@ -91,11 +103,9 @@ class LindbladModel:
         for t in self.lindblad_terms:
             if t.operator.shape != (d, d):
                 raise ValueError(f"Lindblad term {t.label!r} has wrong dimension")
-            s = t.support
-            if not isinstance(s, tuple) or len(set(s)) != len(s) or not all(
-                    isinstance(q, (int, np.integer)) and 0 <= q < self.n for q in s):
-                raise ValueError(f"Lindblad term {t.label!r} has support {s!r}, "
-                                 f"not distinct qubit indices < {self.n}")
+            if any(q >= self.n for q in t.support):
+                raise ValueError(f"Lindblad term {t.label!r} has support {t.support!r}, "
+                                 f"not qubit indices < {self.n}")
 
     @property
     def dim(self) -> int:
@@ -103,8 +113,8 @@ class LindbladModel:
 
     @property
     def k_local(self) -> int:
-        """Number of distinct qubit supports among dissipator terms (K); no support means all."""
-        return len({t.support or tuple(range(self.n)) for t in self.lindblad_terms})
+        """Number of distinct qubit sets among dissipator supports (K); no support means all."""
+        return len({tuple(sorted(t.support or range(self.n))) for t in self.lindblad_terms})
 
     @property
     def max_locality(self) -> int:

@@ -405,6 +405,49 @@ def test_ensemble_independent_of_noise_block(monkeypatch, mode):
         assert np.array_equal(getattr(one_block, field), getattr(one_step_blocks, field)), field
 
 
+def test_stream_states_equal_numpy_seeding():
+    edge = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    seeds = np.concatenate([np.array(edge, dtype=np.uint64),
+                            trajectory_seed(9, np.arange(1000), 0),
+                            trajectory_seed(9, np.arange(1000), 1)])
+    states, incs = engine._stream_states(seeds)
+    assert len(states) == len(incs) == len(seeds)
+    gen = np.random.Generator(np.random.PCG64(0))
+    for s, state, inc in zip(seeds.tolist(), states, incs):
+        ref = np.random.Generator(np.random.PCG64(s))
+        assert ref.bit_generator.state["state"] == {"state": state, "inc": inc}, s
+        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+        assert gen.standard_normal() == ref.standard_normal(), s
+        assert gen.random() == ref.random(), s
+
+
+def test_default_chunks_thread_invariant():
+    cfg = RunConfig(model=presets.single_spin_model(), dt=presets.SINGLE_SPIN_DT, n_steps=5,
+                    n_realizations=600, master_seed=4, observables=[("Z", Z), ("X", X)])
+    assert cfg.chunk_size == 512   # two chunks, one short
+    one, two = (run_ensemble(replace(cfg, threads=t)) for t in (1, 2))
+    for field in ("means", "stderrs", "flip_fraction"):
+        assert getattr(one, field).tobytes() == getattr(two, field).tobytes(), field
+
+
+def test_held_stream_state_is_small(monkeypatch):
+    # One step per block, so the chunk's streams are held between blocks.
+    monkeypatch.setattr(engine, "NOISE_BLOCK_BYTES", 1)
+    cfg = RunConfig(model=presets.single_spin_model(), dt=presets.SINGLE_SPIN_DT, n_steps=3,
+                    n_realizations=512)
+    plan = build_plan(cfg.model, cfg.dt, cfg.trotter, cfg.m_nodes)
+    steps = engine._step_noise(cfg, plan, np.arange(cfg.chunk_size))
+    tracemalloc.start()
+    try:
+        noise, uni = next(steps)
+        held = tracemalloc.get_traced_memory()[0] - noise.base.nbytes - uni.base.nbytes
+    finally:
+        tracemalloc.stop()
+    # A live Generator per stream took about 5 KB; a held (state, inc) pair takes under 100 bytes.
+    assert held < 2 * cfg.chunk_size * 5000 / 16, f"{held / 2**10:.0f} KiB held"
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_chunk_memory_does_not_grow_with_chunk_count(monkeypatch, threads):
     # The stand-in simulates nothing: the peak is the chunk sums held before they are folded.

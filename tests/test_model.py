@@ -13,7 +13,7 @@ from qnoise.model import (
     liouvillian,
     total_hamiltonian,
 )
-from qnoise.bounds import BoundInputs
+from qnoise.bounds import BoundInputs, epsilon_p_bound
 from qnoise.config import ConfigError, load_model, matrix_to_json
 
 from conftest import is_unitary, random_density
@@ -131,6 +131,27 @@ def test_locality_and_support_count_follow_the_supports():
     # An empty support means all n qubits; no dissipator means no locality.
     assert LindbladModel(2, (), (LindbladTerm(0.1, xx),)).max_locality == 2
     assert LindbladModel(2, (), ()).max_locality == 0
+
+
+def test_support_order_does_not_count_as_a_new_support():
+    xx, zz = PauliString("XX").matrix(), PauliString("ZZ").matrix()
+
+    def model(zz_support):
+        return LindbladModel(2, (), (LindbladTerm(0.1, xx, (0, 1), "XX"),
+                                     LindbladTerm(0.1, zz, zz_support, "ZZ")))
+
+    assert model((1, 0)).k_local == model((0, 1)).k_local == 1
+    eps = [epsilon_p_bound(BoundInputs.from_model(model(s), 0.01, 1, "exact"))
+           for s in ((1, 0), (0, 1))]
+    assert eps[0] == eps[1]
+
+
+def test_term_label_must_be_a_string():
+    # The old positional form HamiltonianTerm(c, X, locality) binds the locality to `label`.
+    with pytest.raises(TypeError, match="Hamiltonian term label 1 is not a str"):
+        HamiltonianTerm(1.0, X, 1)
+    with pytest.raises(TypeError, match="Lindblad term label 2 is not a str"):
+        LindbladTerm(0.5, Z, (0,), 2)
 
 
 @pytest.mark.parametrize("support", [(0, 0), (2,), (-1,), (0.0,), [0], 1],
