@@ -318,6 +318,10 @@ def _model(spec: dict, path: str) -> LindbladModel:
     for i, entry in enumerate(spec["lindblad"] or ()):
         op, support = _operator(entry, at(f"lindblad[{i}]"), n)
         l_terms.append(LindbladTerm(entry["rate"], op, support, entry["label"] or f"L{i}"))
+        try:
+            l_terms[-1].check_support(n)
+        except ValueError as exc:
+            raise ConfigError(at(f"lindblad[{i}].support"), str(exc)) from None
     return LindbladModel(n, tuple(h_terms), tuple(l_terms))
 
 

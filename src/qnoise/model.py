@@ -24,6 +24,10 @@ PAULI = {
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 
+# How far a dissipator may differ from tr_q(op)/2 x I_q on a qubit q outside its declared
+# support, in units of max(1, its largest entry).
+SUPPORT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class PauliString:
@@ -87,6 +91,20 @@ class LindbladTerm:
         if self.rate < 0:
             raise ValueError(f"Lindblad term {self.label!r} has negative rate {self.rate}")
 
+    def check_support(self, n: int) -> None:
+        """Raise a ValueError naming the term unless its support holds every qubit < n that
+        the operator acts on: on each other qubit q it must equal tr_q(op)/2 x I_q."""
+        if any(q >= n for q in self.support):
+            raise ValueError(f"Lindblad term {self.label!r} has support {self.support!r}, "
+                             f"not qubit indices < {n}")
+        tol = SUPPORT_TOL * max(1.0, np.max(np.abs(self.operator)))
+        for q in [q for q in range(n) if q not in (self.support or range(n))]:
+            t = self.operator.reshape(2**q, 2, 2 ** (n - q - 1), 2**q, 2, 2 ** (n - q - 1))
+            traced = np.einsum("aibcid->abcd", t) / 2
+            if np.max(np.abs(t - np.einsum("abcd,ij->aibcjd", traced, np.eye(2)))) > tol:
+                raise ValueError(f"Lindblad term {self.label!r} acts on qubit {q}, "
+                                 f"outside its support {self.support!r}")
+
 
 @dataclass(frozen=True)
 class LindbladModel:
@@ -103,9 +121,7 @@ class LindbladModel:
         for t in self.lindblad_terms:
             if t.operator.shape != (d, d):
                 raise ValueError(f"Lindblad term {t.label!r} has wrong dimension")
-            if any(q >= self.n for q in t.support):
-                raise ValueError(f"Lindblad term {t.label!r} has support {t.support!r}, "
-                                 f"not qubit indices < {self.n}")
+            t.check_support(self.n)
 
     @property
     def dim(self) -> int:

@@ -28,7 +28,8 @@ gives the exponential (`linalg.matexp_antihermitian`)
      [W sin(Sigma) V^dag,  W cos(Sigma) W^dag]].
 
 partial-trace conjugates with this gate.  measure-reset never forms it:
-`gate_action` applies it to psi x |0> by a truncated Taylor series.
+`gate_action` applies it to psi x |0> by a truncated Taylor series that scales
+the (..., d) ancilla halves, not the blocks, so it holds one channel's block at a time.
 `expected_channel` evaluates the noise-average of the gate conjugation
 (after tracing the ancilla) deterministically from the same table.
 """
@@ -136,13 +137,12 @@ def sample_noise(plan: NoiseGatePlan, rng: np.random.Generator, size=()) -> np.n
     return rng.standard_normal(tuple(size) + plan.factors.shape[:2])
 
 
-def _channel_blocks(plan: NoiseGatePlan, noise: np.ndarray):
-    """Yield A_k = z_k F_k, (..., d, d), for the active channels k ascending."""
+def _channel_block(plan: NoiseGatePlan, noise: np.ndarray, k: int) -> np.ndarray:
+    """A_k = z_k F_k, (..., d, d), for the k-th active channel in ascending order."""
     noise = np.asarray(noise, dtype=float)
-    batch, d = noise.shape[:-2], plan.system_dim
-    for z, f in zip(np.moveaxis(noise, -2, 0), plan.factors):
-        # Real GEMM of the (..., r) normals and the (r, 2d^2) factor, viewed as d x d complex.
-        yield (z @ f).view(complex).reshape(batch + (d, d))
+    # Real GEMM of the (..., r) normals and the (r, 2d^2) factor, viewed as d x d complex.
+    a = noise[..., k, :] @ plan.factors[k]
+    return a.view(complex).reshape(noise.shape[:-2] + (plan.system_dim,) * 2)
 
 
 def gates_from_increments(plan: NoiseGatePlan, noise: np.ndarray) -> np.ndarray:
@@ -150,8 +150,8 @@ def gates_from_increments(plan: NoiseGatePlan, noise: np.ndarray) -> np.ndarray:
     in ascending channel index, from noise drawn by `sample_noise`, shape (..., K_active, r)."""
     batch = np.shape(noise)[:-2]
     gate = np.broadcast_to(plan.u_full, batch + plan.u_full.shape).copy()
-    for a in _channel_blocks(plan, noise):
-        gate = gate @ linalg.matexp_antihermitian(a)
+    for k in range(len(plan.factors)):
+        gate = gate @ linalg.matexp_antihermitian(_channel_block(plan, noise, k))
     return gate
 
 
@@ -163,19 +163,20 @@ def gate_action(plan: NoiseGatePlan, noise: np.ndarray, psi: np.ndarray) -> np.n
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).  Result shape (..., 2d)."""
     x0, x1 = np.array(psi, dtype=complex), np.zeros(np.shape(psi), dtype=complex)
     # The gate is U E_0 ... E_{K-1}, so the last channel acts first.
-    for a in reversed(list(_channel_blocks(plan, noise))):
+    for k in reversed(range(len(plan.factors))):
+        a = _channel_block(plan, noise, k)
         norm = np.linalg.norm(a, axis=(-2, -1)).max(initial=0.0)
         steps = max(1, math.ceil(norm))
         norm /= steps
         degree = next(n for n in range(40) if norm ** (n + 1) / math.factorial(n + 1) <= 2.0**-53)
-        # Term j maps (t0, t1) to (-A^dag t1, A t0) / j; the 1/j is folded into the blocks.
-        j = np.arange(1, degree + 1).reshape((-1,) + (1,) * a.ndim) * steps
-        terms = list(zip(a.conj().swapaxes(-1, -2) / -j, a / j))
+        ah = a.conj().swapaxes(-1, -2)
         for _ in range(steps):
             t0, t1 = x0, x1
-            for ah_j, a_j in terms:
-                t0, t1 = (np.einsum("...ij,...j->...i", ah_j, t1),
-                          np.einsum("...ij,...j->...i", a_j, t0))
+            for j in range(1, degree + 1):
+                # Term j maps (t0, t1) to (-A^dag t1, A t0) / (j steps), scaled in place.
+                t0, t1 = np.einsum("...ij,...j->...i", ah, t1), np.einsum("...ij,...j->...i", a, t0)
+                t0 *= -1.0 / (j * steps)
+                t1 *= 1.0 / (j * steps)
                 x0 += t0
                 x1 += t1
     # U(dt) on the (..., d, 2) stack of halves, flattened to index sys*2 + anc.

@@ -332,6 +332,7 @@ EXPERIMENT = {"sweep-dt": {"m_nodes": 8}, "sampling-error": {"n_r_values": [4, 8
 INLINE_H = [{"pauli": "X", "coeff": 1.0}]
 NILPOTENT = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]   # [[0, 1], [0, 0]]: not Hermitian
 EYE4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+LOWER_1 = [[[float((i, j) in ((0, 1), (2, 3))), 0.0] for j in range(4)] for i in range(4)]
 
 
 # Each row: command, config key set on a small single-spin config, its
@@ -362,6 +363,9 @@ BAD_INPUT = [
     ("sampling-error", "experiment.n_r_values", [4], r"experiment\.n_r_values"),
     ("simulate", "run.observables", [{"matrix": NILPOTENT}],
      r"run\.observables\[0\]\.matrix"),                         # [named run]
+    # sigma- on qubit 1, declared on qubit 0 [accepted]
+    ("simulate", "model", {"n": 2, "lindblad": [{"matrix": LOWER_1, "support": [0], "rate": 1.0}]},
+     r"model\.lindblad\[0\]\.support"),
     # Rejection branches no other test runs.
     ("simulate", "model", {"n": 1, "hamiltonian": [{**INLINE_H[0], "support": [0]}]},
      r"model\.hamiltonian\[0\]\.support"),

@@ -9,6 +9,7 @@ from qnoise.model import (
     LindbladModel,
     LindbladTerm,
     PauliString,
+    SIGMA_MINUS,
     dissipator,
     liouvillian,
     total_hamiltonian,
@@ -159,6 +160,25 @@ def test_term_label_must_be_a_string():
 def test_bad_support_names_the_term(support):
     with pytest.raises(ValueError, match=r"Lindblad term 'bad' has support"):
         LindbladModel(2, (), (LindbladTerm(0.1, np.eye(4), support, "bad"),))
+
+
+def test_matrix_support_must_hold_the_qubits_the_operator_acts_on():
+    def load(op, support):
+        return load_model({"n": 2, "lindblad": [{"matrix": matrix_to_json(op), "rate": 0.1,
+                                                  "support": support, "label": "jump"}]})
+
+    # sigma- on qubit 1, and sigma- x sigma-, both declared [0]: a support that misses
+    # qubit 1 would give sigma- x sigma- m = 1 and an eps_p 25x too small.
+    lower_1, lower_both = np.kron(np.eye(2), SIGMA_MINUS), np.kron(SIGMA_MINUS, SIGMA_MINUS)
+    for op in (lower_1, lower_both):
+        with pytest.raises(ConfigError, match=r"^lindblad\[0\]\.support: Lindblad term 'jump' "
+                                              r"acts on qubit 1, outside its support \(0,\)"):
+            load(op, [0])
+    with pytest.raises(ValueError, match=r"Lindblad term 'jump' acts on qubit 1"):
+        LindbladModel(2, (), (LindbladTerm(0.1, lower_both, (0,), "jump"),))
+    model = load(lower_1, [1])
+    assert (model.k_local, model.max_locality) == (1, 1)
+    assert load(lower_both, [1, 0]).max_locality == 2
 
 
 def test_terms_take_no_locality():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from scipy.linalg import expm
 
 from qnoise import linalg, noisegate, presets
 from qnoise.bounds import BoundInputs, epsilon_p_bound
+from qnoise.config import load_model
 from qnoise.model import (
     HamiltonianTerm,
     LindbladModel,
@@ -448,7 +451,22 @@ def test_expected_channel_matches_piece_loop(make_model, dt, M, trotter):
 # psi x |0> must equal the SVD-formed gate's ancilla-0 columns applied to psi.
 # ---------------------------------------------------------------------------
 
-ACTION_CASES = EQUIVALENCE_CASES[:2]
+def chain_model(n):
+    """n qubits: ZZ between neighbours plus X on each qubit, and Z dephasing on each qubit."""
+    def pauli(letter, *qubits):
+        return "".join(letter if q in qubits else "I" for q in range(n))
+
+    return load_model({
+        "n": n,
+        "hamiltonian": [{"pauli": pauli("Z", q, q + 1), "coeff": 1.0} for q in range(n - 1)]
+                       + [{"pauli": pauli("X", q), "coeff": 0.5} for q in range(n)],
+        "lindblad": [{"pauli": pauli("Z", q), "rate": 0.2} for q in range(n)],
+    })
+
+
+ACTION_CASES = EQUIVALENCE_CASES[:2] + [
+    pytest.param(lambda: chain_model(3), 0.05, 8, id="chain-3"),   # d = 8
+]
 
 
 def formed_action(plan, noise, psi):
@@ -523,3 +541,25 @@ def test_gate_action_empty_batch():
     plan = build_plan(presets.two_molecule_model(), presets.TWO_MOLECULE_DT, M=16)
     got = gate_action(plan, np.zeros((0,) + plan.factors.shape[:2]), np.zeros((0, 4)))
     assert got.shape == (0, 8)
+
+
+def test_gate_action_memory_is_a_few_blocks_whatever_the_degree():
+    # d = 16, B = 512, four active channels.  Scaling the noise x40 takes the largest
+    # |A| from below 1 to above 1, so the series runs in sub-steps at a higher degree.
+    plan = build_plan(chain_model(4), 0.01, "exact", 8)
+    rng = np.random.default_rng(4)
+    noise = sample_noise(plan, rng, (512,))
+    psi = random_states(rng, 512, 16)
+    norm = np.linalg.norm(np.einsum("bkr,krc->bkc", noise, plan.factors), axis=-1).max()
+    assert norm < 1.0 < 40 * norm
+    block = 512 * 16 * 16 * np.dtype(complex).itemsize   # one (B, d, d) complex block
+    peaks = []
+    for scaled in (noise, 40 * noise):
+        tracemalloc.start()
+        try:
+            gate_action(plan, scaled, psi)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 4 * block
+    assert peaks[1] < 1.1 * peaks[0]
