@@ -187,7 +187,6 @@ _INTEGER, _COUNT, _POSITIVE = _number(whole=True), _number(whole=True, at_least=
 _OPERATOR = {
     "pauli": Key(_PAULI),
     "matrix": Key(_matrix),
-    "support": Key(_list(_number(whole=True, at_least=0), min_len=1)),
     "label": Key(_STRING),
 }
 
@@ -279,25 +278,21 @@ def _state_vector(spec, path: str, n: int) -> np.ndarray:
     return spec / norm
 
 
-def _operator(entry: dict, path: str, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Matrix and qubit support of a walked pauli | matrix | projector entry."""
-    if entry.get("support") is not None and entry["matrix"] is None:
-        raise ConfigError(f"{path}.support", "only valid with 'matrix'")
+def _operator(entry: dict, path: str, n: int) -> np.ndarray:
+    """Matrix of a walked pauli | matrix | projector entry."""
     if entry["pauli"] is not None:
         ps = entry["pauli"]
         if ps.n != n:
             raise ConfigError(f"{path}.pauli",
                               f"expected a string of {n} Pauli letters, got {ps.letters!r}")
-        return ps.matrix(), ps.support or (0,)
+        return ps.matrix()
     if entry.get("projector") is not None:
         psi = _state_vector(entry["projector"], f"{path}.projector", n)
-        return np.outer(psi, psi.conj()), tuple(range(n))
-    op, support = entry["matrix"], entry.get("support") or range(n)
+        return np.outer(psi, psi.conj())
+    op = entry["matrix"]
     if len(op) != 2**n:
         raise ConfigError(f"{path}.matrix", f"matrix dim {len(op)} != model dim {2**n}")
-    if len(set(support)) != len(support) or max(support) >= n:
-        raise ConfigError(f"{path}.support", f"invalid qubit list {list(support)}")
-    return op, tuple(sorted(support))
+    return op
 
 
 def _model(spec: dict, path: str) -> LindbladModel:
@@ -310,18 +305,14 @@ def _model(spec: dict, path: str) -> LindbladModel:
         return PRESETS[spec["preset"]]()
     n, h_terms, l_terms = spec["n"], [], []
     for i, entry in enumerate(spec["hamiltonian"] or ()):
-        op = _operator(entry, at(f"hamiltonian[{i}]"), n)[0]
+        op = _operator(entry, at(f"hamiltonian[{i}]"), n)
         try:
             h_terms.append(HamiltonianTerm(entry["coeff"], op, entry["label"] or f"H{i}"))
         except ValueError as exc:
             raise ConfigError(at(f"hamiltonian[{i}]"), str(exc)) from None
     for i, entry in enumerate(spec["lindblad"] or ()):
-        op, support = _operator(entry, at(f"lindblad[{i}]"), n)
-        l_terms.append(LindbladTerm(entry["rate"], op, support, entry["label"] or f"L{i}"))
-        try:
-            l_terms[-1].check_support(n)
-        except ValueError as exc:
-            raise ConfigError(at(f"lindblad[{i}].support"), str(exc)) from None
+        op = _operator(entry, at(f"lindblad[{i}]"), n)
+        l_terms.append(LindbladTerm(entry["rate"], op, entry["label"] or f"L{i}"))
     return LindbladModel(n, tuple(h_terms), tuple(l_terms))
 
 
@@ -359,7 +350,7 @@ def _observable(entry: dict, path: str, n: int) -> tuple[str, np.ndarray]:
     label = entry["pauli"].letters if entry["pauli"] is not None else "obs"
     if isinstance(entry["projector"], str):
         label = f"P{entry['projector']}"
-    op = _operator(entry, path, n)[0]
+    op = _operator(entry, path, n)
     if not linalg.is_hermitian(op, 1e-10):   # only a given matrix can fail this
         raise ConfigError(f"{path}.matrix", "not Hermitian")
     return entry["label"] or label, op

@@ -1,5 +1,6 @@
 """Lindblad problem description: Hamiltonian terms, and dissipator terms whose
-qubit supports alone give the bounds' support count K and locality m.
+qubit supports, derived from their operators by `support`, alone give the
+bounds' support count K and locality m.
 
 Units: model files carry SI pairs (seconds for times, rad/s for
 frequencies, 1/s for rates).  Internally hbar = 1, so only the
@@ -9,6 +10,7 @@ models simply use rate/frequency values with an implied unit time scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +26,22 @@ PAULI = {
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 
-# How far a dissipator may differ from tr_q(op)/2 x I_q on a qubit q outside its declared
-# support, in units of max(1, its largest entry).
+# How far an operator may differ from tr_q(op)/2 x I_q on a qubit q outside its support,
+# in units of max(1, its largest entry).
 SUPPORT_TOL = 1e-12
+
+
+def support(op: np.ndarray, n: int) -> tuple[int, ...]:
+    """The qubits an n-qubit operator acts on: q is in the support iff op differs from
+    tr_q(op)/2 x I_q.  An operator proportional to I, or zero, has the empty support."""
+    tol = SUPPORT_TOL * max(1.0, np.max(np.abs(op)))
+
+    def acts_on(q: int) -> bool:
+        t = op.reshape(2**q, 2, 2 ** (n - q - 1), 2**q, 2, 2 ** (n - q - 1))
+        traced = np.einsum("aibcid->abcd", t) / 2
+        return np.max(np.abs(t - np.einsum("abcd,ij->aibcjd", traced, np.eye(2)))) > tol
+
+    return tuple(q for q in range(n) if acts_on(q))
 
 
 @dataclass(frozen=True)
@@ -42,10 +57,6 @@ class PauliString:
     @property
     def n(self) -> int:
         return len(self.letters)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.letters) if c != "I")
 
     def matrix(self) -> np.ndarray:
         m = np.array([[1.0]], dtype=complex)
@@ -78,32 +89,12 @@ class HamiltonianTerm:
 class LindbladTerm:
     rate: float                 # 1/s
     operator: np.ndarray
-    support: tuple[int, ...] = ()   # qubits the operator acts on; () means all n
     label: str = ""
 
     def __post_init__(self):
-        s = self.support
-        if not isinstance(s, tuple) or len(set(s)) != len(s) or not all(
-                isinstance(q, (int, np.integer)) and q >= 0 for q in s):
-            raise ValueError(f"Lindblad term {self.label!r} has support {s!r}, "
-                             f"not distinct qubit indices")
         _check_label("Lindblad", self.label)
         if self.rate < 0:
             raise ValueError(f"Lindblad term {self.label!r} has negative rate {self.rate}")
-
-    def check_support(self, n: int) -> None:
-        """Raise a ValueError naming the term unless its support holds every qubit < n that
-        the operator acts on: on each other qubit q it must equal tr_q(op)/2 x I_q."""
-        if any(q >= n for q in self.support):
-            raise ValueError(f"Lindblad term {self.label!r} has support {self.support!r}, "
-                             f"not qubit indices < {n}")
-        tol = SUPPORT_TOL * max(1.0, np.max(np.abs(self.operator)))
-        for q in [q for q in range(n) if q not in (self.support or range(n))]:
-            t = self.operator.reshape(2**q, 2, 2 ** (n - q - 1), 2**q, 2, 2 ** (n - q - 1))
-            traced = np.einsum("aibcid->abcd", t) / 2
-            if np.max(np.abs(t - np.einsum("abcd,ij->aibcjd", traced, np.eye(2)))) > tol:
-                raise ValueError(f"Lindblad term {self.label!r} acts on qubit {q}, "
-                                 f"outside its support {self.support!r}")
 
 
 @dataclass(frozen=True)
@@ -121,21 +112,25 @@ class LindbladModel:
         for t in self.lindblad_terms:
             if t.operator.shape != (d, d):
                 raise ValueError(f"Lindblad term {t.label!r} has wrong dimension")
-            t.check_support(self.n)
 
     @property
     def dim(self) -> int:
         return 2 ** self.n
 
+    @cached_property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        """Each dissipator's support, `support(operator, n)`, in term order."""
+        return tuple(support(t.operator, self.n) for t in self.lindblad_terms)
+
     @property
     def k_local(self) -> int:
-        """Number of distinct qubit sets among dissipator supports (K); no support means all."""
-        return len({tuple(sorted(t.support or range(self.n))) for t in self.lindblad_terms})
+        """Number of distinct non-empty dissipator supports (K)."""
+        return len(set(self.supports) - {()})
 
     @property
     def max_locality(self) -> int:
         """Largest dissipator locality m: the size of the largest support."""
-        return max((len(t.support or range(self.n)) for t in self.lindblad_terms), default=0)
+        return max(map(len, self.supports), default=0)
 
 
 def total_hamiltonian(model: LindbladModel) -> np.ndarray:

@@ -26,7 +26,7 @@ def single_spin_model(
     config = _config()
 
     def jump(op: np.ndarray, label: str) -> dict:
-        return {"matrix": config.matrix_to_json(op), "support": [0], "rate": gamma, "label": label}
+        return {"matrix": config.matrix_to_json(op), "rate": gamma, "label": label}
 
     return config.load_model({
         "n": 1,

@@ -180,7 +180,7 @@ def test_criterion_7_oracle_cross_checks():
 
     from qnoise.model import LindbladModel, LindbladTerm
     gamma, t = 0.3, 1.2
-    deph = LindbladModel(1, (), (LindbladTerm(gamma, Z, (0,), "Z"),))
+    deph = LindbladModel(1, (), (LindbladTerm(gamma, Z, "Z"),))
     rho0 = np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex)
     off = evolve_exact(deph, rho0, t)[0, 1]
     dev = abs(off - 0.4 * np.exp(-2 * gamma * t))

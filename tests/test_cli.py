@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from qnoise.bounds import BoundInputs, bound_report, per_step_sum_bound
 from qnoise.cli import main
-from qnoise.config import SCHEMA, load, load_model
+from qnoise.config import SCHEMA, load, load_model, matrix_to_json
 from qnoise.engine import RunConfig, run_ensemble
 from qnoise.model import PauliString
 from qnoise.noisegate import closed_propagator
@@ -333,6 +333,7 @@ INLINE_H = [{"pauli": "X", "coeff": 1.0}]
 NILPOTENT = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]   # [[0, 1], [0, 0]]: not Hermitian
 EYE4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
 LOWER_1 = [[[float((i, j) in ((0, 1), (2, 3))), 0.0] for j in range(4)] for i in range(4)]
+ZZ = matrix_to_json(PauliString("ZZ").matrix())
 
 
 # Each row: command, config key set on a small single-spin config, its
@@ -363,9 +364,15 @@ BAD_INPUT = [
     ("sampling-error", "experiment.n_r_values", [4], r"experiment\.n_r_values"),
     ("simulate", "run.observables", [{"matrix": NILPOTENT}],
      r"run\.observables\[0\]\.matrix"),                         # [named run]
-    # sigma- on qubit 1, declared on qubit 0 [accepted]
+    # sigma- on qubit 1, declared on qubit 0 [accepted]; supports are derived from the
+    # operators now, so `support` is an unknown field.
     ("simulate", "model", {"n": 2, "lindblad": [{"matrix": LOWER_1, "support": [0], "rate": 1.0}]},
      r"model\.lindblad\[0\]\.support"),
+    # A matrix Hamiltonian on two qubits, declared on qubit 0 [accepted, support dropped].
+    ("bounds", "", {"model": {"n": 2,
+                              "hamiltonian": [{"matrix": ZZ, "coeff": 1.0, "support": [0]}]},
+                    "run": {"dt": 1e-6, "n_steps": 5}},
+     r"model\.hamiltonian\[0\]\.support"),
     # Rejection branches no other test runs.
     ("simulate", "model", {"n": 1, "hamiltonian": [{**INLINE_H[0], "support": [0]}]},
      r"model\.hamiltonian\[0\]\.support"),
@@ -454,6 +461,16 @@ def test_readme_documents_every_config_key():
         for key in schema.keys:
             dotted = f"{name}.{key}" if name else key
             assert f"`{dotted}`" in section, f"README Configuration lacks `{dotted}`"
+
+
+def test_readme_names_no_key_the_schema_lacks():
+    # The converse of the test above, over all of README: a key path in backticks
+    # names a key or a section of config.SCHEMA, so a deleted key leaves no stale row.
+    known = set(SCHEMA) | {f"{name}.{key}" for name, section in SCHEMA.items()
+                           for key in section.keys}
+    named = set(re.findall(r"`((?:model|run|experiment)(?:\.[a-z_]+(?:\[i\])?)+)`",
+                           (ROOT / "README.md").read_text()))
+    assert named and not named - known, sorted(named - known)
 
 
 def test_readme_library_example_runs():

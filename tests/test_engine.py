@@ -29,7 +29,7 @@ Z = PauliString("Z").matrix()
 
 
 def dephasing_model(gamma=0.5):
-    return LindbladModel(1, (), (LindbladTerm(gamma, Z, (0,), "Z"),))
+    return LindbladModel(1, (), (LindbladTerm(gamma, Z, "Z"),))
 
 
 def scalar_seed_reference(master_seed, index, stream):
@@ -97,7 +97,7 @@ def test_reset_ancilla_born_frequencies(rng):
 def test_run_trajectory_noiseless_rabi():
     omega = 2.0
     model = LindbladModel(
-        1, (HamiltonianTerm(omega / 2, X),), (LindbladTerm(0.0, Z, (0,), "Z"),)
+        1, (HamiltonianTerm(omega / 2, X),), (LindbladTerm(0.0, Z, "Z"),)
     )
     for mode in ("measure-reset", "partial-trace"):
         # The mean over one realization is trajectory 0's state at each step.

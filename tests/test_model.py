@@ -12,9 +12,10 @@ from qnoise.model import (
     SIGMA_MINUS,
     dissipator,
     liouvillian,
+    support,
     total_hamiltonian,
 )
-from qnoise.bounds import BoundInputs, epsilon_p_bound
+from qnoise.bounds import BoundInputs, bound_report, epsilon_p_bound
 from qnoise.config import ConfigError, load_model, matrix_to_json
 
 from conftest import is_unitary, random_density
@@ -25,7 +26,7 @@ Z = PauliString("Z").matrix()
 
 
 def dephasing_model(gamma=0.5):
-    return LindbladModel(1, (), (LindbladTerm(gamma, Z, (0,), "Z"),))
+    return LindbladModel(1, (), (LindbladTerm(gamma, Z, "Z"),))
 
 
 def test_pauli_string_matrices():
@@ -36,7 +37,7 @@ def test_pauli_string_matrices():
 def test_pauli_string_metadata():
     ps = PauliString("IXZI")
     assert ps.n == 4
-    assert ps.support == (1, 2)
+    assert support(ps.matrix(), ps.n) == (1, 2)
     with pytest.raises(ValueError):
         PauliString("XQ")
 
@@ -119,31 +120,42 @@ def test_locality_metadata():
     model = presets.two_molecule_model()
     assert model.k_local == 3  # supports {0}, {1}, {0,1}
     assert model.max_locality == 2
-    assert presets.single_spin_model().k_local == 1
+    single = presets.single_spin_model()
+    assert (single.k_local, single.max_locality) == (1, 1)
 
 
 def test_locality_and_support_count_follow_the_supports():
     xx = PauliString("XX").matrix()
-    model = LindbladModel(2, (), (LindbladTerm(0.1, xx, (0, 1), "XX"),))
+    model = LindbladModel(2, (), (LindbladTerm(0.1, xx, "XX"),))
     assert (model.k_local, model.max_locality) == (1, 2)
     assert BoundInputs.from_model(model, 0.01, 1, "exact").m == 2
-    doc = {"n": 2, "lindblad": [{"matrix": matrix_to_json(xx), "support": [0, 1], "rate": 0.1}]}
+    doc = {"n": 2, "lindblad": [{"matrix": matrix_to_json(xx), "rate": 0.1}]}
     assert load_model(doc).max_locality == 2
-    # An empty support means all n qubits; no dissipator means no locality.
-    assert LindbladModel(2, (), (LindbladTerm(0.1, xx),)).max_locality == 2
+    # No dissipator means no locality.
     assert LindbladModel(2, (), ()).max_locality == 0
 
 
+def test_pauli_and_matrix_forms_give_the_same_bounds():
+    # sigma_z on qubit 1 of 2, once as Pauli letters and once as a matrix.
+    iz = PauliString("IZ").matrix()
+    models = [load_model({"n": 2, "lindblad": [{**form, "rate": 0.1}]})
+              for form in ({"pauli": "IZ"}, {"matrix": matrix_to_json(iz)})]
+    assert [(m.k_local, m.max_locality) for m in models] == [(1, 1), (1, 1)]
+    eps = [epsilon_p_bound(BoundInputs.from_model(m, 0.01, 1, "exact")) for m in models]
+    assert eps[0] == eps[1]
+
+
 def test_support_order_does_not_count_as_a_new_support():
-    xx, zz = PauliString("XX").matrix(), PauliString("ZZ").matrix()
+    # sigma- x Z and Z x sigma- act on the same qubits in either factor order.
+    xx = PauliString("XX").matrix()
 
-    def model(zz_support):
-        return LindbladModel(2, (), (LindbladTerm(0.1, xx, (0, 1), "XX"),
-                                     LindbladTerm(0.1, zz, zz_support, "ZZ")))
+    def model(second):
+        return LindbladModel(2, (), (LindbladTerm(0.1, xx, "XX"),
+                                     LindbladTerm(0.1, second, "second")))
 
-    assert model((1, 0)).k_local == model((0, 1)).k_local == 1
-    eps = [epsilon_p_bound(BoundInputs.from_model(model(s), 0.01, 1, "exact"))
-           for s in ((1, 0), (0, 1))]
+    ops = (np.kron(SIGMA_MINUS, Z), np.kron(Z, SIGMA_MINUS))
+    assert model(ops[0]).k_local == model(ops[1]).k_local == 1
+    eps = [epsilon_p_bound(BoundInputs.from_model(model(op), 0.01, 1, "exact")) for op in ops]
     assert eps[0] == eps[1]
 
 
@@ -152,43 +164,46 @@ def test_term_label_must_be_a_string():
     with pytest.raises(TypeError, match="Hamiltonian term label 1 is not a str"):
         HamiltonianTerm(1.0, X, 1)
     with pytest.raises(TypeError, match="Lindblad term label 2 is not a str"):
-        LindbladTerm(0.5, Z, (0,), 2)
+        LindbladTerm(0.5, Z, 2)
+    # A term takes no support: an old positional one binds to `label` or is one too many.
+    with pytest.raises(TypeError, match=r"Lindblad term label \(0,\) is not a str"):
+        LindbladTerm(0.5, Z, (0,))
+    with pytest.raises(TypeError, match="positional arguments"):
+        LindbladTerm(0.5, Z, (0,), "Z")
 
 
-@pytest.mark.parametrize("support", [(0, 0), (2,), (-1,), (0.0,), [0], 1],
-                         ids=["repeated", "out-of-range", "negative", "float", "list", "int"])
-def test_bad_support_names_the_term(support):
-    with pytest.raises(ValueError, match=r"Lindblad term 'bad' has support"):
-        LindbladModel(2, (), (LindbladTerm(0.1, np.eye(4), support, "bad"),))
-
-
-def test_matrix_support_must_hold_the_qubits_the_operator_acts_on():
-    def load(op, support):
-        return load_model({"n": 2, "lindblad": [{"matrix": matrix_to_json(op), "rate": 0.1,
-                                                  "support": support, "label": "jump"}]})
-
-    # sigma- on qubit 1, and sigma- x sigma-, both declared [0]: a support that misses
-    # qubit 1 would give sigma- x sigma- m = 1 and an eps_p 25x too small.
+def test_support_is_the_qubits_the_operator_acts_on():
     lower_1, lower_both = np.kron(np.eye(2), SIGMA_MINUS), np.kron(SIGMA_MINUS, SIGMA_MINUS)
-    for op in (lower_1, lower_both):
-        with pytest.raises(ConfigError, match=r"^lindblad\[0\]\.support: Lindblad term 'jump' "
-                                              r"acts on qubit 1, outside its support \(0,\)"):
-            load(op, [0])
-    with pytest.raises(ValueError, match=r"Lindblad term 'jump' acts on qubit 1"):
-        LindbladModel(2, (), (LindbladTerm(0.1, lower_both, (0,), "jump"),))
-    model = load(lower_1, [1])
-    assert (model.k_local, model.max_locality) == (1, 1)
-    assert load(lower_both, [1, 0]).max_locality == 2
+    for op, n, want in [
+        (lower_1, 2, (1,)),
+        (lower_both, 2, (0, 1)),
+        (np.kron(np.kron(SIGMA_MINUS, np.eye(2)), X), 3, (0, 2)),
+        (0.3 * np.eye(4) + np.kron(Z, np.eye(2)), 2, (0,)),
+        (np.eye(4), 2, ()),
+        (np.zeros((4, 4)), 2, ()),
+    ]:
+        assert support(op, n) == want, (op, want)
+    # sigma- x sigma- once declared on [0] got m = 1 and an eps_p 25x too small.
+    model = load_model({"n": 2, "lindblad": [{"matrix": matrix_to_json(lower_both), "rate": 0.1}]})
+    assert (model.supports, model.k_local, model.max_locality) == (((0, 1),), 1, 2)
+    # An operator proportional to I has a zero dissipator: no support, no K, no m, no bound.
+    for form in ({"pauli": "II"}, {"matrix": matrix_to_json(np.eye(4))}):
+        model = load_model({"n": 2, "lindblad": [{**form, "rate": 0.1}]})
+        assert (model.supports, model.k_local, model.max_locality) == (((),), 0, 0)
+        report = bound_report(BoundInputs.from_model(model, 0.01, 10, "exact"), 1e-3)
+        assert (report.eps_p, report.gate_count) == (0.0, 0)
 
 
 def test_terms_take_no_locality():
-    # The old positional locality now lands in `support` and fails loudly.
-    with pytest.raises(ValueError, match=r"Lindblad term \(0,\) has support 1,"):
-        LindbladModel(1, (), (LindbladTerm(0.5, Z, 1, (0,)),))
+    # The old positional locality and support are one argument too many.
+    with pytest.raises(TypeError, match="positional arguments"):
+        LindbladTerm(0.5, Z, 1, (0,))
     with pytest.raises(TypeError, match="locality"):
         HamiltonianTerm(1.0, X, locality=7)
     with pytest.raises(TypeError, match="locality"):
-        LindbladTerm(0.5, Z, locality=1, support=(0,))
+        LindbladTerm(0.5, Z, locality=1)
+    with pytest.raises(TypeError, match="support"):
+        LindbladTerm(0.5, Z, support=(0,))
 
 
 def test_load_model_pauli_terms():
@@ -202,16 +217,16 @@ def test_load_model_pauli_terms():
     )
     assert model.n == 2
     assert_allclose(total_hamiltonian(model), 0.5 * np.kron(X, np.eye(2)))
-    assert model.lindblad_terms[0].support == (0, 1)
+    assert model.supports == ((0, 1),)
     assert model.max_locality == 2
 
 
 def test_load_model_matrix_terms():
     sp = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
     sp[1][0] = [1, 0]  # sigma+ = |1><0|
-    model = load_model({"n": 1, "lindblad": [{"matrix": sp, "rate": 2.0, "support": [0]}]})
+    model = load_model({"n": 1, "lindblad": [{"matrix": sp, "rate": 2.0}]})
     assert_allclose(model.lindblad_terms[0].operator, [[0, 0], [1, 0]])
-    assert model.lindblad_terms[0].support == (0,)
+    assert model.supports == ((0,),)
 
 
 def model_to_json(model):
@@ -223,8 +238,7 @@ def model_to_json(model):
             for t in model.hamiltonian_terms
         ],
         "lindblad": [
-            {"matrix": matrix_to_json(t.operator), "rate": t.rate,
-             "support": list(t.support), "label": t.label}
+            {"matrix": matrix_to_json(t.operator), "rate": t.rate, "label": t.label}
             for t in model.lindblad_terms
         ],
         "units": {"time": "s", "rate": "1/s"},
@@ -252,7 +266,8 @@ def test_load_model_error_paths():
         load_model({"n": 1, "lindblad": [{"pauli": "Z", "matrix": [], "rate": 1.0}]})
     with pytest.raises(ConfigError, match="units"):
         load_model({"n": 1, "units": {"time": "ms", "rate": "1/s"}})
-    with pytest.raises(ConfigError, match=r"lindblad\[0\]\.support"):
+    # A term's support is derived from its operator, so `support` is no key.
+    with pytest.raises(ConfigError, match=r"lindblad\[0\]\.support: unknown field"):
         load_model(
             {"n": 1, "lindblad": [{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
                                    "rate": 1.0, "support": [3]}]}
@@ -272,7 +287,7 @@ def test_load_model_from_file(tmp_path):
 
 def test_negative_rate_rejected():
     with pytest.raises(ValueError, match="negative rate"):
-        LindbladTerm(-0.1, Z, (0,))
+        LindbladTerm(-0.1, Z)
 
 
 def test_non_hermitian_hamiltonian_rejected():

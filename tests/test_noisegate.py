@@ -39,7 +39,7 @@ Z = PauliString("Z").matrix()
 
 def driven_dephasing(omega=2.0, gamma=0.5):
     return LindbladModel(
-        1, (HamiltonianTerm(omega / 2, X),), (LindbladTerm(gamma, Z, (0,), "Z"),)
+        1, (HamiltonianTerm(omega / 2, X),), (LindbladTerm(gamma, Z, "Z"),)
     )
 
 
@@ -67,7 +67,7 @@ def test_interaction_picture_identity_at_zero():
 
 def test_interaction_picture_commuting_case():
     model = LindbladModel(
-        1, (HamiltonianTerm(3.0, Z),), (LindbladTerm(1.0, Z, (0,), "Z"),)
+        1, (HamiltonianTerm(3.0, Z),), (LindbladTerm(1.0, Z, "Z"),)
     )
     plan = build_plan(model, 2.0, M=20)  # nodes s_r = 0.1 r
     for r in [1, 7, 19]:  # s = 0.1, 0.7, 1.9
@@ -98,7 +98,7 @@ def test_build_plan_empty_and_constant():
     no_noise = LindbladModel(1, (HamiltonianTerm(1.0, X),), ())
     assert len(build_plan(no_noise, 0.1).rates) == 0
 
-    free = LindbladModel(1, (), (LindbladTerm(1.0, Z, (0,), "Z"),))
+    free = LindbladModel(1, (), (LindbladTerm(1.0, Z, "Z"),))
     plan = build_plan(free, 0.1, M=4)
     j = coupling_operator(plan.l_nodes[0])
     for r in range(4):
@@ -142,7 +142,7 @@ def test_sample_Sk_zero_increments_and_zero_mean(rng):
 def test_sample_Sk_constant_integrand_variance(rng):
     # H = 0: S = J * W(dt), so each entry has variance |J_ij|^2 dt
     gamma, dt = 1.0, 0.01
-    model = LindbladModel(1, (), (LindbladTerm(gamma, SIGMA_MINUS, (0,), "low"),))
+    model = LindbladModel(1, (), (LindbladTerm(gamma, SIGMA_MINUS, "low"),))
     plan = build_plan(model, dt, M=8)
     n = 100_000
     dw = rng.normal(0.0, np.sqrt(dt / 8), size=(n, 8))
@@ -194,7 +194,7 @@ def test_sample_Sk_covariance_against_trig_integrals(rng):
 
 def test_sample_gate_noiseless_limit(rng):
     model = LindbladModel(
-        1, (HamiltonianTerm(1.0, X),), (LindbladTerm(0.0, Z, (0,), "Z"),)
+        1, (HamiltonianTerm(1.0, X),), (LindbladTerm(0.0, Z, "Z"),)
     )
     plan = build_plan(model, 0.1, M=4)
     gate = gates_from_increments(plan, sample_noise(plan, rng))
@@ -248,7 +248,7 @@ def test_expected_channel_noiseless(rng):
 
 def test_expected_channel_dephasing_exact():
     gamma, dt = 0.4, 0.05
-    model = LindbladModel(1, (), (LindbladTerm(gamma, Z, (0,), "Z"),))
+    model = LindbladModel(1, (), (LindbladTerm(gamma, Z, "Z"),))
     rho = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
     out = expected_channel(model, dt, M=8)(rho)
     assert out[0, 1] == pytest.approx(rho[0, 1] * (1 - 2 * gamma * dt), abs=1e-14)
@@ -362,8 +362,8 @@ def lowering_model():
         1,
         (HamiltonianTerm(1.5, Z),),
         (
-            LindbladTerm(0.8, SIGMA_MINUS, (0,), "lower"),
-            LindbladTerm(0.0, X, (0,), "off"),
+            LindbladTerm(0.8, SIGMA_MINUS, "lower"),
+            LindbladTerm(0.0, X, "off"),
         ),
     )
 

@@ -14,7 +14,7 @@ X = PauliString("X").matrix()
 
 
 def dephasing_model(gamma):
-    return LindbladModel(1, (), (LindbladTerm(gamma, Z, (0,), "Z"),))
+    return LindbladModel(1, (), (LindbladTerm(gamma, Z, "Z"),))
 
 
 def test_evolve_exact_closed_limit(rng):

@@ -1,5 +1,6 @@
 """The presets, built as model documents by `config.load_model`, equal the
-hand-assembled models they replaced, field by field and byte for byte."""
+hand-assembled models they replaced, field by field and byte for byte, and
+so do their derived supports."""
 from dataclasses import fields
 
 import numpy as np
@@ -22,9 +23,9 @@ def hand_single_spin(omega=presets.SINGLE_SPIN_OMEGA, gamma=presets.SINGLE_SPIN_
         n=1,
         hamiltonian_terms=(HamiltonianTerm(omega / 2.0, x, label="drive"),),
         lindblad_terms=(
-            LindbladTerm(gamma, SIGMA_PLUS, support=(0,), label="raise"),
-            LindbladTerm(gamma, SIGMA_MINUS, support=(0,), label="lower"),
-            LindbladTerm(gamma, z, support=(0,), label="dephase"),
+            LindbladTerm(gamma, SIGMA_PLUS, label="raise"),
+            LindbladTerm(gamma, SIGMA_MINUS, label="lower"),
+            LindbladTerm(gamma, z, label="dephase"),
         ),
     )
 
@@ -39,8 +40,7 @@ def hand_two_molecule():
     )
     l_terms = []
     for letters, rate in presets.TWO_MOLECULE_RATES.items():
-        ps = PauliString(letters)
-        l_terms.append(LindbladTerm(rate, ps.matrix(), support=ps.support or (0,), label=letters))
+        l_terms.append(LindbladTerm(rate, PauliString(letters).matrix(), label=letters))
     return LindbladModel(2, h_terms, tuple(l_terms))
 
 
@@ -63,6 +63,7 @@ def assert_same_term(got, want):
 def test_preset_matches_hand_built_model(build, reference):
     got, want = build(), reference()
     assert got.n == want.n
+    assert got.supports == want.supports
     for kind in ("hamiltonian_terms", "lindblad_terms"):
         assert len(getattr(got, kind)) == len(getattr(want, kind)), kind
         for a, b in zip(getattr(got, kind), getattr(want, kind)):
