@@ -50,7 +50,7 @@ class BoundInputs:
 
         return cls(
             K=model.k_local,
-            m=max(model.max_locality, 1),
+            m=model.max_locality,
             n=model.n,
             gamma=max((t.rate for t in model.lindblad_terms), default=0.0),
             omega=max((abs(t.coefficient) for t in model.hamiltonian_terms), default=0.0),

@@ -50,6 +50,8 @@ from itertools import accumulate
 from typing import Optional
 
 import numpy as np
+# numpy loads numpy.random lazily; naming it here loads it on import, not inside the first run.
+from numpy.random import PCG64, Generator
 
 from . import linalg
 from .config import RunConfig
@@ -193,7 +195,7 @@ def _step_noise(config: RunConfig, plan: NoiseGatePlan, indices: np.ndarray):
     # One Generator per stream, pointed at each trajectory's PCG64 state in turn.  Its
     # draws take whole 64-bit outputs, so between blocks a stream needs only its state.
     streams = [_stream_states(trajectory_seed(config.master_seed, indices, s)) for s in (0, 1)]
-    gens = [np.random.Generator(np.random.PCG64(0)) for _ in streams]
+    gens = [Generator(PCG64(0)) for _ in streams]
     bits = [g.bit_generator for g in gens]
     for start in range(0, n_steps, block):
         nb = min(block, n_steps - start)

@@ -6,6 +6,8 @@ superoperators up to ~4096x4096, so everything is dense.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -17,6 +19,34 @@ def _atol(a: np.ndarray, tol: float) -> float:
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     a = np.asarray(a)
     return a.shape[0] == a.shape[1] and np.max(np.abs(a - a.conj().T)) <= _atol(a, tol)
+
+
+def taylor_degree(norm: float) -> int:
+    """Least n with norm^(n+1)/(n+1)! <= 2^-53: where the Taylor series of exp(a) may stop
+    when |a| <= norm <= 1 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011)."""
+    return next(n for n in range(40) if norm ** (n + 1) / math.factorial(n + 1) <= 2.0**-53)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring: exp(a) = exp(a/2^s)^(2^s) for the least
+    s with |a/2^s|_1 <= 1, the Taylor series of exp(a/2^s) cut by `taylor_degree` and
+    summed by Horner's rule (Moler & Van Loan, SIAM Rev. 45, 2003).  Zero maps to I
+    exactly, and a diagonal input gives an exactly diagonal output."""
+    a = np.array(a, dtype=complex)
+    norm = float(np.linalg.norm(a, 1))
+    if not math.isfinite(norm):
+        raise ValueError("expm needs a finite matrix")
+    squarings = math.ceil(math.log2(norm)) if norm > 1 else 0
+    a /= 2.0**squarings
+    eye = np.eye(len(a), dtype=a.dtype)
+    x = eye
+    for j in range(taylor_degree(norm / 2.0**squarings), 0, -1):
+        x = a @ x
+        x /= j
+        x += eye
+    for _ in range(squarings):
+        x = x @ x
+    return x
 
 
 def matexp_antihermitian(a: np.ndarray) -> np.ndarray:

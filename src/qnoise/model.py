@@ -1,6 +1,6 @@
 """Lindblad problem description: Hamiltonian terms, and dissipator terms whose
-qubit supports, derived from their operators by `support`, alone give the
-bounds' support count K and locality m.
+qubit supports, derived from their operators by `support` (empty for a zero
+rate), alone give the bounds' support count K and locality m.
 
 Units: model files carry SI pairs (seconds for times, rad/s for
 frequencies, 1/s for rates).  Internally hbar = 1, so only the
@@ -119,8 +119,9 @@ class LindbladModel:
 
     @cached_property
     def supports(self) -> tuple[tuple[int, ...], ...]:
-        """Each dissipator's support, `support(operator, n)`, in term order."""
-        return tuple(support(t.operator, self.n) for t in self.lindblad_terms)
+        """Each dissipator's support, `support(operator, n)`, in term order.  A zero-rate
+        term, whose dissipator is zero like an identity operator's, has the empty support."""
+        return tuple(support(t.operator, self.n) if t.rate else () for t in self.lindblad_terms)
 
     @property
     def k_local(self) -> int:

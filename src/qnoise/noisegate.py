@@ -158,17 +158,15 @@ def gates_from_increments(plan: NoiseGatePlan, noise: np.ndarray) -> np.ndarray:
 def gate_action(plan: NoiseGatePlan, noise: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """gates_from_increments(plan, noise) @ (psi x |0>) for psi of shape (..., d),
     without forming a gate: each exp([[0, -A^dag], [A, 0]]) acts on the ancilla halves
-    by its Taylor series, cut at the least n with |A|^(n+1)/(n+1)! <= 2^-53 for |A| the
-    batch's largest Frobenius norm, in ceil(|A|) equal sub-steps when |A| > 1
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).  Result shape (..., 2d)."""
+    by its Taylor series in ceil(|A|) equal sub-steps when |A| > 1, for |A| the batch's
+    largest Frobenius norm, each cut at `linalg.taylor_degree`.  Result shape (..., 2d)."""
     x0, x1 = np.array(psi, dtype=complex), np.zeros(np.shape(psi), dtype=complex)
     # The gate is U E_0 ... E_{K-1}, so the last channel acts first.
     for k in reversed(range(len(plan.factors))):
         a = _channel_block(plan, noise, k)
         norm = np.linalg.norm(a, axis=(-2, -1)).max(initial=0.0)
         steps = max(1, math.ceil(norm))
-        norm /= steps
-        degree = next(n for n in range(40) if norm ** (n + 1) / math.factorial(n + 1) <= 2.0**-53)
+        degree = linalg.taylor_degree(norm / steps)
         ah = a.conj().swapaxes(-1, -2)
         for _ in range(steps):
             t0, t1 = x0, x1

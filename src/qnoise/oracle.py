@@ -1,6 +1,7 @@
 """Reference propagators for the Lindblad equation.
 
-`evolve_exact` exponentiates the vectorized generator and serves as the
+`evolve_exact` exponentiates the vectorized generator with `linalg.expm`
+(scaling and squaring of a Taylor series, numpy only) and serves as the
 ground truth everywhere.  `evolve_rk4` is an independent fixed-step
 integrator used to cross-check it.  `step_sa` is the first-order Euler
 stepper ("standard approximation") that the stochastic-gate scheme is
@@ -9,7 +10,6 @@ compared against.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .model import LindbladModel, dissipator, liouvillian, total_hamiltonian
@@ -29,7 +29,7 @@ def evolve_exact(model: LindbladModel, rho0: np.ndarray, t: float) -> np.ndarray
     d = model.dim
     if rho0.shape != (d, d):
         raise ValueError(f"expected a {d}x{d} density matrix, got {rho0.shape}")
-    prop = scipy.linalg.expm(liouvillian(model) * t)
+    prop = linalg.expm(liouvillian(model) * t)
     return linalg.unvec(prop @ linalg.vec(rho0), d)
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +218,32 @@ def test_bounds_report(tmp_path):
     assert report["eps_global"] == pytest.approx(30 * report["eps_p"], rel=1e-9)
     assert report["gate_count"] >= 1
     assert report["inputs"]["K"] == 1
+
+
+def test_bounds_of_a_model_without_dissipator_report_m_zero(tmp_path):
+    # An identity operator has a zero dissipator, so K = m = 0 and nothing to bound.
+    doc = {
+        "model": {"n": 2, "lindblad": [{"pauli": "II", "rate": 0.1}]},
+        "run": {"dt": 0.01, "n_steps": 10, "trotter": "exact"},
+        "experiment": {"eps_target": 1e-3},
+    }
+    assert main(["bounds", write_config(tmp_path, doc), "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "bounds.json").read_text())
+    assert (report["inputs"]["K"], report["inputs"]["m"]) == (0, 0)
+    assert (report["eps_p"], report["gate_count"]) == (0.0, 0)
+
+
+def test_import_loads_no_scipy():
+    # scipy is the tests' reference only; the CLI's start-up must not pay its import.
+    # numpy.random loads on import too, so the first run does not pay for it.
+    code = ("import qnoise.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'numpy.random' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["[]", "True"]
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

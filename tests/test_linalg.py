@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from qnoise import linalg
+from qnoise import linalg, presets
+from qnoise.model import liouvillian
 
 from conftest import is_unitary, random_complex, random_density, random_pure
 
@@ -40,6 +43,52 @@ def test_matexp_antihermitian_block_cases(rng, d):
         u = linalg.matexp_antihermitian(a)
         assert_allclose(u, expm(coupling(a)), atol=1e-12)
         assert is_unitary(u, 1e-12)
+
+
+# linalg.expm against scipy's, with tolerances fixed before the first run at 5x the
+# deviations a prototype of the same algorithm showed: 2e-13 absolute on the presets'
+# Liouvillians up to |Lt|_1 = 1.5e4, and 2e-14 relative to the largest entry on random ones.
+@pytest.mark.parametrize("preset", sorted(presets.PRESETS))
+@pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.3, 1.0, 7.0, 1e2, 1e3, 1e4])
+def test_expm_matches_scipy_on_liouvillians(preset, norm):
+    gen = liouvillian(presets.PRESETS[preset]())
+    a = gen * (norm / np.linalg.norm(gen, 1))
+    assert_allclose(linalg.expm(a), expm(a), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+@pytest.mark.parametrize("norm", [1e-2, 0.9, 3.0, 30.0])
+def test_expm_matches_scipy_on_random_matrices(rng, n, norm):
+    a = random_complex(rng, (n, n))      # non-normal
+    a *= norm / np.linalg.norm(a, 1)
+    want = expm(a)
+    assert np.max(np.abs(linalg.expm(a) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_expm_exact_cases():
+    for n in (1, 2, 16):
+        assert np.array_equal(linalg.expm(np.zeros((n, n), dtype=complex)), np.eye(n))
+    # A diagonal input stays exactly diagonal, and a zero entry maps to exactly 1.
+    diag = np.diag([0.0, -1.0, -2.5, 3.0 + 1.0j])
+    out = linalg.expm(diag)
+    assert np.array_equal(out, np.diag(np.diag(out)))
+    assert out[0, 0] == 1.0
+    assert_allclose(np.diag(out), np.exp(np.diag(diag)), rtol=1e-14)
+    # A nilpotent input's series ends by itself: exp(N) = I + N.
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(linalg.expm(nilpotent), np.eye(2) + nilpotent)
+    with pytest.raises(ValueError, match="finite"):
+        linalg.expm(np.array([[np.nan]]))
+
+
+def test_taylor_degree_rule():
+    # The least n with norm^(n+1)/(n+1)! <= 2^-53.
+    assert linalg.taylor_degree(0.0) == 0
+    assert linalg.taylor_degree(1.0) == 18      # 1/18! = 1.6e-16 > 2^-53 >= 1/19! = 8.2e-18
+    for norm in (1e-8, 1e-3, 0.25, 0.5, 1.0):
+        n = linalg.taylor_degree(norm)
+        assert norm ** (n + 1) / math.factorial(n + 1) <= 2.0**-53
+        assert n == 0 or norm**n / math.factorial(n) > 2.0**-53
 
 
 def test_partial_trace_product_state(rng):

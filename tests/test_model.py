@@ -145,6 +145,17 @@ def test_pauli_and_matrix_forms_give_the_same_bounds():
     assert eps[0] == eps[1]
 
 
+def test_zero_rate_terms_count_in_neither_k_nor_m():
+    # A zero rate makes the dissipator zero, as an identity operator does.
+    base = [{"pauli": "ZI", "rate": 0.1}]
+    models = [load_model({"n": 2, "lindblad": terms})
+              for terms in (base, base + [{"pauli": "XX", "rate": 0.0}])]
+    assert models[1].supports == ((0,), ())
+    assert [(m.k_local, m.max_locality) for m in models] == [(1, 1), (1, 1)]
+    eps = [epsilon_p_bound(BoundInputs.from_model(m, 0.01, 1, "exact")) for m in models]
+    assert eps[1] == eps[0] == pytest.approx(4.89e-5, rel=1e-3)
+
+
 def test_support_order_does_not_count_as_a_new_support():
     # sigma- x Z and Z x sigma- act on the same qubits in either factor order.
     xx = PauliString("XX").matrix()
