@@ -44,19 +44,22 @@ class BoundInputs:
 
     @classmethod
     def from_model(cls, model: LindbladModel, dt: float, n_steps: int, trotter: str):
-        """Extract scales and spectral norms (largest singular values) from a model."""
+        """Extract scales and spectral norms (largest singular values) from a model.
+        gamma and max||L|| are taken over the dissipators that act (`acting_rates`)."""
         def max_norm(terms) -> float:
             return max((np.linalg.norm(t.operator, 2) for t in terms), default=0.0)
+
+        acting = [t for t, rate in zip(model.lindblad_terms, model.acting_rates) if rate]
 
         return cls(
             K=model.k_local,
             m=model.max_locality,
             n=model.n,
-            gamma=max((t.rate for t in model.lindblad_terms), default=0.0),
+            gamma=max(model.acting_rates, default=0.0),
             omega=max((abs(t.coefficient) for t in model.hamiltonian_terms), default=0.0),
             J=len(model.hamiltonian_terms),
             max_h_norm=max_norm(model.hamiltonian_terms),
-            max_L_norm=max_norm(model.lindblad_terms),
+            max_L_norm=max_norm(acting),
             dt=dt,
             n_steps=n_steps,
             trotter=trotter,

@@ -106,7 +106,7 @@ def _slope_text(slope: float) -> str:
 
 def cmd_sweep_dt(cfg: Config, args) -> int:
     model, run, exp = cfg.model, cfg.run, cfg.experiment
-    gamma = max(t.rate for t in model.lindblad_terms)
+    gamma = max(model.acting_rates)
     if exp["dt_values"] is not None:
         dts = np.array(exp["dt_values"])
     else:

@@ -126,12 +126,13 @@ class Section(NamedTuple):
 MODES = ("measure-reset", "partial-trace")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """One ensemble run, checked when built.  Scalar fields pass through the
     `run` schema's kinds, so a bad value raises the ConfigError a config file
     would give; observables and the initial state are checked against the
-    model, and `start_state` is the state the engine starts from."""
+    model, and `start_state` is the state the engine starts from.  Frozen, so
+    no field skips the checks: `dataclasses.replace` builds a checked copy."""
 
     model: LindbladModel
     dt: float
@@ -153,13 +154,14 @@ class RunConfig:
         for name in ("dt", "n_steps", "n_realizations", "master_seed", "mode", "m_nodes",
                      "trotter", "record_rho", "threads", "chunk_size"):
             key = "seed" if name == "master_seed" else name
-            setattr(self, name, SCHEMA["run"].keys[key].kind(getattr(self, name), f"run.{key}"))
+            object.__setattr__(self, name,
+                               SCHEMA["run"].keys[key].kind(getattr(self, name), f"run.{key}"))
         d = self.model.dim
         for i, (label, op) in enumerate(self.observables):
             if np.shape(op) != (d, d) or not linalg.is_hermitian(np.asarray(op), 1e-10):
                 raise ConfigError(f"run.observables[{i}]",
                                   f"{label!r} is not a Hermitian {d}x{d} matrix")
-        self.start_state = self._start_state()
+        object.__setattr__(self, "start_state", self._start_state())
 
     def _start_state(self) -> np.ndarray:
         d, measure = self.model.dim, self.mode == "measure-reset"
@@ -377,8 +379,8 @@ def load(path, command: str, seed: Optional[int] = None,
         exp["total_time"] = run["dt"] * run["n_steps"]
 
     if command == "sweep-dt":
-        if not any(t.rate > 0 for t in model.lindblad_terms):
-            raise ConfigError("model", "sweep-dt needs at least one nonzero rate")
+        if not any(model.acting_rates):
+            raise ConfigError("model", "sweep-dt needs a dissipator that acts")
         if exp["compose"] == "total-time" and exp["total_time"] is None:
             raise ConfigError("experiment.total_time", "field missing")
         return Config(model, run, exp, None)

@@ -1,6 +1,9 @@
 """Lindblad problem description: Hamiltonian terms, and dissipator terms whose
-qubit supports, derived from their operators by `support` (empty for a zero
-rate), alone give the bounds' support count K and locality m.
+qubit supports, derived from their operators by `support` (empty for a zero rate
+or an operator proportional to I), alone give the bounds' K and m.  This module
+alone decides which dissipators act: the gate plan, the bounds and sweep-dt read
+`LindbladModel.acting_rates`, while `dissipator` and `liouvillian`, the
+independent reference, sum every term.
 
 Units: model files carry SI pairs (seconds for times, rad/s for
 frequencies, 1/s for rates).  Internally hbar = 1, so only the
@@ -123,6 +126,12 @@ class LindbladModel:
         term, whose dissipator is zero like an identity operator's, has the empty support."""
         return tuple(support(t.operator, self.n) if t.rate else () for t in self.lindblad_terms)
 
+    @cached_property
+    def acting_rates(self) -> tuple[float, ...]:
+        """Each dissipator's rate where it acts and 0 where its support is empty, in term
+        order: a term at rate 0 here gets no gate, no noise and no flips, and no bound."""
+        return tuple(t.rate if s else 0.0 for t, s in zip(self.lindblad_terms, self.supports))
+
     @property
     def k_local(self) -> int:
         """Number of distinct non-empty dissipator supports (K)."""
@@ -145,8 +154,6 @@ def dissipator(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     """Action of the dissipator sum_k gamma_k (L rho L^dag - 1/2 {L^dag L, rho})."""
     out = np.zeros_like(rho, dtype=complex)
     for t in model.lindblad_terms:
-        if t.rate == 0.0:
-            continue
         L = t.operator
         LdL = L.conj().T @ L
         out += t.rate * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
@@ -160,8 +167,6 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     h = total_hamiltonian(model)
     gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for t in model.lindblad_terms:
-        if t.rate == 0.0:
-            continue
         L = t.operator
         LdL = L.conj().T @ L
         gen += t.rate * (

@@ -96,15 +96,15 @@ class NoiseGatePlan:
 
     dt: float
     m_nodes: int                       # M
-    rates: np.ndarray                  # (K,) gamma_k
+    rates: np.ndarray                  # (K,) `model.acting_rates`: gamma_k, 0 if k does not act
     l_nodes: np.ndarray                # (K, M, d, d)
     u_full: np.ndarray                 # kron(U(dt), I_2), shape (2d, 2d)
     system_dim: int
 
     @cached_property
     def factors(self) -> np.ndarray:
-        """F_k = sqrt(gamma_k dt/M) D Q^T of T_k = P D Q^T for each channel with a
-        nonzero rate, ascending, shape (K_active, min(M, 2d^2), 2d^2): z F_k for standard
+        """F_k = sqrt(gamma_k dt/M) D Q^T of T_k = P D Q^T for each channel that acts
+        (nonzero in `rates`), ascending, shape (K_active, min(M, 2d^2), 2d^2): z F_k for standard
         normals z has A_k's law.  Computed on first use, so the expected channel never does."""
         active = np.flatnonzero(self.rates)
         d, M = self.system_dim, self.m_nodes
@@ -125,7 +125,7 @@ def build_plan(
     return NoiseGatePlan(
         dt=dt,
         m_nodes=M,
-        rates=np.array([t.rate for t in model.lindblad_terms]),
+        rates=np.array(model.acting_rates),
         l_nodes=_interaction_table(model, props[:M]),
         u_full=np.kron(props[-1], np.eye(2)),
         system_dim=model.dim,

@@ -1,15 +1,12 @@
 """Built-in example models, a driven dissipative spin and a two-molecule chain,
-written as inline model documents that `config.load_model` builds."""
+built from their terms.  Each preset is shorthand for an inline model document,
+and tests/test_presets.py checks it against that document's `config.load_model`."""
 from __future__ import annotations
 
 import numpy as np
 
-from .model import LindbladModel, SIGMA_MINUS, SIGMA_PLUS
-
-
-def _config():
-    from . import config   # imported on first use: config imports PRESETS from here
-    return config
+from .model import (HamiltonianTerm, LindbladModel, LindbladTerm, PauliString, SIGMA_MINUS,
+                    SIGMA_PLUS)
 
 
 # Driven single spin: H = (Omega/2) X with Omega = pi/6 Mrad/s, three
@@ -23,17 +20,11 @@ SINGLE_SPIN_DT = 1e-6                   # s  (gamma*dt = 1e-4)
 def single_spin_model(
     omega: float = SINGLE_SPIN_OMEGA, gamma: float = SINGLE_SPIN_GAMMA
 ) -> LindbladModel:
-    config = _config()
-
-    def jump(op: np.ndarray, label: str) -> dict:
-        return {"matrix": config.matrix_to_json(op), "rate": gamma, "label": label}
-
-    return config.load_model({
-        "n": 1,
-        "hamiltonian": [{"pauli": "X", "coeff": omega / 2.0, "label": "drive"}],
-        "lindblad": [jump(SIGMA_PLUS, "raise"), jump(SIGMA_MINUS, "lower"),
-                     {"pauli": "Z", "rate": gamma, "label": "dephase"}],
-    })
+    return LindbladModel(1, (HamiltonianTerm(omega / 2.0, PauliString("X").matrix(), "drive"),), (
+        LindbladTerm(gamma, SIGMA_PLUS.copy(), "raise"),
+        LindbladTerm(gamma, SIGMA_MINUS.copy(), "lower"),
+        LindbladTerm(gamma, PauliString("Z").matrix(), "dephase"),
+    ))
 
 
 # Excitation transfer between two coupled two-level molecules.
@@ -66,17 +57,14 @@ TWO_MOLECULE_RATES = {
 
 def two_molecule_model() -> LindbladModel:
     (e0, e1), j = TWO_MOLECULE_E, TWO_MOLECULE_J
-    return _config().load_model({
-        "n": 2,
-        "hamiltonian": [
-            {"pauli": "ZI", "coeff": -e0 / 2.0, "label": "E0"},
-            {"pauli": "IZ", "coeff": -e1 / 2.0, "label": "E1"},
-            {"pauli": "XX", "coeff": j / 2.0, "label": "JXX"},
-            {"pauli": "YY", "coeff": j / 2.0, "label": "JYY"},
-        ],
-        "lindblad": [{"pauli": letters, "rate": rate, "label": letters}
-                     for letters, rate in TWO_MOLECULE_RATES.items()],
-    })
+    hamiltonian = (("ZI", -e0 / 2.0, "E0"), ("IZ", -e1 / 2.0, "E1"),
+                   ("XX", j / 2.0, "JXX"), ("YY", j / 2.0, "JYY"))
+    return LindbladModel(
+        2,
+        tuple(HamiltonianTerm(c, PauliString(p).matrix(), label) for p, c, label in hamiltonian),
+        tuple(LindbladTerm(rate, PauliString(letters).matrix(), letters)
+              for letters, rate in TWO_MOLECULE_RATES.items()),
+    )
 
 
 # The models a config names with `model.preset`.

@@ -416,6 +416,9 @@ BAD_INPUT = [
     ("simulate", "", [], r"document"),
     ("simulate", "run.initial_state", [[0, 0], [0, 0]], r"run\.initial_state"),
     ("sweep-dt", "model", {"n": 1, "hamiltonian": INLINE_H}, r"model"),
+    # An identity dissipator does not act [fitted a slope through rounding noise].
+    ("sweep-dt", "model", {"n": 1, "lindblad": [{"pauli": "I", "rate": 1.0}]},
+     r"model(?=: sweep-dt needs a dissipator that acts$)"),
     ("sampling-error", "run.observables", [], r"run\.observables"),
 ]
 

@@ -2,7 +2,7 @@ import math
 import threading
 import tracemalloc
 from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -339,6 +339,30 @@ def test_run_config_start_state():
     assert np.array_equal(pt.start_state, np.outer(plus, plus))
     assert np.array_equal(replace(pt, n_steps=2).start_state, pt.start_state)
     assert pt.initial_state is plus
+
+
+def test_run_config_is_frozen():
+    # An assigned field skipped every check: a fractional n_steps failed in the engine,
+    # and partial-trace met a statevector start state.  replace() checks again.
+    config = RunConfig(model=presets.single_spin_model(), dt=1e-6, n_steps=1)
+    for field, value in (("n_steps", 2.5), ("mode", "partial-trace")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, field, value)
+    assert replace(config, mode="partial-trace").start_state.shape == (2, 2)
+    with pytest.raises(ConfigError, match=r"^run\.n_steps: "):
+        replace(config, n_steps=2.5)
+
+
+def test_identity_dissipator_changes_nothing():
+    # L = I has a zero dissipator, so it gets no gate, no noise and no flips
+    # [it drew noise and flipped the ancilla in 5.5% of steps, not 0.3%].
+    spin = presets.single_spin_model()
+    idle = LindbladTerm(5e3, np.eye(2, dtype=complex), "idle")
+    results = [run_ensemble(RunConfig(model=model, dt=1e-5, n_steps=10, n_realizations=300,
+                                      master_seed=4, observables=[("Z", Z)]))
+               for model in (spin, replace(spin, lindblad_terms=spin.lindblad_terms + (idle,)))]
+    for name in ("means", "stderrs", "flip_fraction"):
+        assert getattr(results[1], name).tobytes() == getattr(results[0], name).tobytes(), name
 
 
 def test_run_config_accepts_numpy_scalars():

@@ -156,6 +156,20 @@ def test_zero_rate_terms_count_in_neither_k_nor_m():
     assert eps[1] == eps[0] == pytest.approx(4.89e-5, rel=1e-3)
 
 
+@pytest.mark.parametrize("idle", [
+    {"matrix": matrix_to_json(10 * PauliString("XX").matrix()), "rate": 0.0},   # [max||L|| was 10]
+    {"pauli": "II", "rate": 50.0},                                              # [gamma was 50]
+], ids=["zero-rate", "identity"])
+def test_terms_that_do_not_act_count_in_no_bound(idle):
+    # gamma and max||L|| are taken over the dissipators that act, as K and m are.
+    model = load_model({"n": 2, "lindblad": [{"pauli": "ZI", "rate": 0.1}, idle]})
+    assert model.acting_rates == (0.1, 0.0)
+    inputs = BoundInputs.from_model(model, 0.01, 1, "exact")
+    assert (inputs.K, inputs.m, inputs.gamma) == (1, 1, 0.1)
+    assert inputs.max_L_norm == pytest.approx(1.0, rel=1e-12)
+    assert epsilon_p_bound(inputs) == pytest.approx(4.893e-5, rel=1e-3)
+
+
 def test_support_order_does_not_count_as_a_new_support():
     # sigma- x Z and Z x sigma- act on the same qubits in either factor order.
     xx = PauliString("XX").matrix()
