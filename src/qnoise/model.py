@@ -3,7 +3,9 @@ qubit supports, derived from their operators by `support` (empty for a zero rate
 or an operator proportional to I), alone give the bounds' K and m.  This module
 alone decides which dissipators act: the gate plan, the bounds and sweep-dt read
 `LindbladModel.acting_rates`, while `dissipator` and `liouvillian`, the
-independent reference, sum every term.
+independent reference, sum every term.  Term operators are read-only copies, so
+what a model caches from them (its supports, its rates, its Liouvillian, built
+once per model and read-only) cannot go stale.
 
 Units: model files carry SI pairs (seconds for times, rad/s for
 frequencies, 1/s for rates).  Internally hbar = 1, so only the
@@ -68,9 +70,13 @@ class PauliString:
         return m
 
 
-def _check_label(kind: str, label) -> None:
-    if not isinstance(label, str):
-        raise TypeError(f"{kind} term label {label!r} is not a str")
+def _check_term(kind: str, term) -> None:
+    """Check the term's label, and store a read-only copy of its operator."""
+    if not isinstance(term.label, str):
+        raise TypeError(f"{kind} term label {term.label!r} is not a str")
+    op = np.array(term.operator)
+    op.setflags(write=False)
+    object.__setattr__(term, "operator", op)
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ class HamiltonianTerm:
     label: str = ""
 
     def __post_init__(self):
-        _check_label("Hamiltonian", self.label)
+        _check_term("Hamiltonian", self)
         if not linalg.is_hermitian(self.operator, 1e-12):
             raise ValueError(f"Hamiltonian term {self.label!r} is not Hermitian")
 
@@ -95,7 +101,7 @@ class LindbladTerm:
     label: str = ""
 
     def __post_init__(self):
-        _check_label("Lindblad", self.label)
+        _check_term("Lindblad", self)
         if self.rate < 0:
             raise ValueError(f"Lindblad term {self.label!r} has negative rate {self.rate}")
 
@@ -132,6 +138,19 @@ class LindbladModel:
         order: a term at rate 0 here gets no gate, no noise and no flips, and no bound."""
         return tuple(t.rate if s else 0.0 for t, s in zip(self.lindblad_terms, self.supports))
 
+    @cached_property
+    def _liouvillian(self) -> np.ndarray:
+        eye = np.eye(self.dim, dtype=complex)
+        h = total_hamiltonian(self)
+        gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        for t in self.lindblad_terms:
+            L = t.operator
+            LdL = L.conj().T @ L
+            gen += t.rate * (np.kron(L.conj(), L) - 0.5 * np.kron(eye, LdL)
+                             - 0.5 * np.kron(LdL.T, eye))
+        gen.setflags(write=False)
+        return gen
+
     @property
     def k_local(self) -> int:
         """Number of distinct non-empty dissipator supports (K)."""
@@ -161,18 +180,7 @@ def dissipator(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
 
 
 def liouvillian(model: LindbladModel) -> np.ndarray:
-    """Superoperator matrix acting on column-vectorized density matrices."""
-    d = model.dim
-    eye = np.eye(d, dtype=complex)
-    h = total_hamiltonian(model)
-    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for t in model.lindblad_terms:
-        L = t.operator
-        LdL = L.conj().T @ L
-        gen += t.rate * (
-            np.kron(L.conj(), L)
-            - 0.5 * np.kron(eye, LdL)
-            - 0.5 * np.kron(LdL.T, eye)
-        )
-    return gen
+    """Superoperator matrix acting on column-vectorized density matrices, built on first
+    use and cached on the model as a read-only array."""
+    return model._liouvillian
 

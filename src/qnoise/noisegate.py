@@ -11,8 +11,9 @@ last tensor factor, so a full index decomposes as sys*2 + anc.
 
 Everything is assembled from one table of d x d interaction-picture
 operators L_k(s_r) = U(s_r)^dag L_k U(s_r), r = 0..M-1
-(`NoiseGatePlan.l_nodes`, shape (K, M, d, d)), filled in one batched
-pass from one eigendecomposition of H (of each Hamiltonian term under
+(`NoiseGatePlan.l_nodes`, shape (K, M, d, d)), filled by two batched products
+over the M nodes, U(s_r)^dag [L_0 ... L_{K-1}] and then that times U(s_r), from
+one eigendecomposition of H (of each Hamiltonian term under
 Trotterization).  With SIGMA_PLUS = |1><0| the
 ancilla blocks of sqrt(gamma_k) S_k are [[0, -A^dag], [A, 0]], where
 A = sqrt(gamma_k) sum_r L_k(s_r) dW_r = sqrt(gamma_k) T_k^T dW for T_k the
@@ -79,10 +80,18 @@ def closed_propagator(model: LindbladModel, t, trotter: str = "exact") -> np.nda
 
 
 def _interaction_table(model: LindbladModel, props: np.ndarray) -> np.ndarray:
-    """L_k(s) = U(s)^dag L_k U(s) for every channel k and propagator U(s), shape (K, T, d, d)."""
-    d = model.dim
-    ops = np.array([t.operator for t in model.lindblad_terms], dtype=complex).reshape(-1, d, d)
-    return props.conj().swapaxes(-1, -2)[None] @ ops[:, None] @ props[None]
+    """L_k(s) = U(s)^dag L_k U(s) for every channel k and propagator U(s), shape (K, T, d, d),
+    C-contiguous, from two products per propagator whatever K is."""
+    d, K, T = model.dim, len(model.lindblad_terms), len(props)
+    ops = np.array([t.operator for t in model.lindblad_terms], dtype=complex).reshape(K, d, d)
+    # Two buffers of the table's size, used in turn: U^dag [L_0 ... L_{K-1}] in `a`, its
+    # K blocks restacked as a (K d, d) column in `b`, times U back in `a`, grouped by k in `b`.
+    a = props.conj().swapaxes(-1, -2) @ ops.transpose(1, 0, 2).reshape(d, K * d)
+    b = a.reshape(T, d, K, d).transpose(0, 2, 1, 3).reshape(T, K * d, d)
+    np.matmul(b, props, out=a.reshape(T, K * d, d))
+    table = b.reshape(K, T, d, d)
+    table[...] = a.reshape(T, K, d, d).transpose(1, 0, 2, 3)
+    return table
 
 
 @dataclass(frozen=True)
@@ -97,7 +106,7 @@ class NoiseGatePlan:
     dt: float
     m_nodes: int                       # M
     rates: np.ndarray                  # (K,) `model.acting_rates`: gamma_k, 0 if k does not act
-    l_nodes: np.ndarray                # (K, M, d, d)
+    l_nodes: np.ndarray                # (K, M, d, d), C-contiguous
     u_full: np.ndarray                 # kron(U(dt), I_2), shape (2d, 2d)
     system_dim: int
 

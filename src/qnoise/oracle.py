@@ -1,11 +1,11 @@
 """Reference propagators for the Lindblad equation.
 
-`evolve_exact` exponentiates the vectorized generator with `linalg.expm`
-(scaling and squaring of a Taylor series, numpy only) and serves as the
-ground truth everywhere.  `evolve_rk4` is an independent fixed-step
-integrator used to cross-check it.  `step_sa` is the first-order Euler
-stepper ("standard approximation") that the stochastic-gate scheme is
-compared against.
+`evolve_exact` exponentiates the vectorized generator (`liouvillian`, built
+once per model) with `linalg.expm` (scaling and squaring of a Taylor series,
+numpy only) and serves as the ground truth everywhere.  `evolve_rk4` is an
+independent fixed-step integrator used to cross-check it.  `step_sa` is the
+first-order Euler stepper ("standard approximation") that the stochastic-gate
+scheme is compared against.
 """
 from __future__ import annotations
 

@@ -21,8 +21,8 @@ def single_spin_model(
     omega: float = SINGLE_SPIN_OMEGA, gamma: float = SINGLE_SPIN_GAMMA
 ) -> LindbladModel:
     return LindbladModel(1, (HamiltonianTerm(omega / 2.0, PauliString("X").matrix(), "drive"),), (
-        LindbladTerm(gamma, SIGMA_PLUS.copy(), "raise"),
-        LindbladTerm(gamma, SIGMA_MINUS.copy(), "lower"),
+        LindbladTerm(gamma, SIGMA_PLUS, "raise"),
+        LindbladTerm(gamma, SIGMA_MINUS, "lower"),
         LindbladTerm(gamma, PauliString("Z").matrix(), "dephase"),
     ))
 

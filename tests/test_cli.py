@@ -162,6 +162,18 @@ def test_sweep_dt_bound_follows_run_trotter(tmp_path):
         assert order1 > exact
 
 
+def test_sweep_dt_builds_its_bound_inputs_once(tmp_path, monkeypatch):
+    # Only dt and n_steps change across a sweep, so the model's norms are taken once.
+    calls = []
+    from_model = BoundInputs.from_model
+    monkeypatch.setattr(BoundInputs, "from_model",
+                        lambda *args: calls.append(args) or from_model(*args))
+    doc = {"model": {"preset": "single-spin"}, "experiment": {"m_nodes": 8}}
+    main(["sweep-dt", write_config(tmp_path, doc), "--out-dir", str(tmp_path)])
+    assert len(parse_csv(tmp_path / "sweep.csv")[1]) == 12
+    assert len(calls) == 1
+
+
 def test_sweep_dt_zero_error_slope_is_undefined(tmp_path, capsys):
     # Pure dephasing of |0> leaves the state fixed, so both errors are 0 at every dt.
     doc = {"model": {"n": 1, "lindblad": [{"pauli": "Z", "rate": 1.0}]},
@@ -366,67 +378,98 @@ ZZ = matrix_to_json(PauliString("ZZ").matrix())
 
 
 # Each row: command, config key set on a small single-spin config, its
-# value, and the field path the error must name.  In brackets, what the
-# input did before the declared schema.
+# value, and the field path the error must name, under an explicit id.  In
+# brackets, what the input did before the declared schema.
 BAD_INPUT = [
-    ("simulate", "run.n_steps", 2.7, r"run\.n_steps"),            # [ran 2 steps]
-    ("simulate", "run.record_rho", "false", r"run\.record_rho"),  # [wrote rho_steps.json]
-    ("simulate", "run.dt", "1e-6", r"run\.dt"),                   # [accepted]
-    ("simulate", "run.n_steps", None, r"run\.n_steps"),           # [TypeError]
-    ("simulate", "run.m_nodes", 0, r"run\.m_nodes"),              # [traceback]
-    ("simulate", "run.chunk_size", 0, r"run\.chunk_size"),        # [traceback]
-    ("simulate", "run.threads", -3, r"run\.threads"),             # [ran]
-    ("bounds", "run.trotter", "bogus", r"run\.trotter"),          # [exit 0]
-    ("simulate", "run.trotter", "order-3", r"run\.trotter"),      # [traceback]
-    ("simulate", "model", {"n": 1, "hamiltonain": INLINE_H}, r"model\.hamiltonain"),  # [H = 0]
-    ("simulate", "model.gamma", 5.0, r"model\.gamma"),            # [ignored]
-    ("simulate", "model", {"n": 1, "hamiltonian": [{**INLINE_H[0], "suport": [0]}]},
-     r"model\.hamiltonian\[0\]\.suport"),                        # [ignored]
-    ("sweep-dt", "experiment.m_nodes", 0, r"experiment\.m_nodes"),  # [traceback]
-    ("sweep-dt", "experiment.dt_values", [-1e-6, 2e-6],
-     r"experiment\.dt_values\[0\]"),                              # [traceback]
-    ("sampling-error", "experiment.repetitions", 0, r"experiment\.repetitions"),  # [slope nan]
-    ("sampling-error", "experiment.n_r_values", [0, 4],
-     r"experiment\.n_r_values\[0\]"),                           # [traceback]
+    pytest.param("simulate", "run.n_steps", 2.7, r"run\.n_steps",
+                 id="simulate-run.n_steps=2.7"),                 # [ran 2 steps]
+    pytest.param("simulate", "run.record_rho", "false", r"run\.record_rho",
+                 id='simulate-run.record_rho="false"'),          # [wrote rho_steps.json]
+    pytest.param("simulate", "run.dt", "1e-6", r"run\.dt",
+                 id='simulate-run.dt="1e-6"'),                   # [accepted]
+    pytest.param("simulate", "run.n_steps", None, r"run\.n_steps",
+                 id="simulate-run.n_steps=null"),                # [TypeError]
+    pytest.param("simulate", "run.m_nodes", 0, r"run\.m_nodes",
+                 id="simulate-run.m_nodes=0"),                   # [traceback]
+    pytest.param("simulate", "run.chunk_size", 0, r"run\.chunk_size",
+                 id="simulate-run.chunk_size=0"),                # [traceback]
+    pytest.param("simulate", "run.threads", -3, r"run\.threads",
+                 id="simulate-run.threads=-3"),                  # [ran]
+    pytest.param("bounds", "run.trotter", "bogus", r"run\.trotter",
+                 id='bounds-run.trotter="bogus"'),               # [exit 0]
+    pytest.param("simulate", "run.trotter", "order-3", r"run\.trotter",
+                 id='simulate-run.trotter="order-3"'),           # [traceback]
+    pytest.param("simulate", "model", {"n": 1, "hamiltonain": INLINE_H}, r"model\.hamiltonain",
+                 id="simulate-model.hamiltonain"),               # [H = 0]
+    pytest.param("simulate", "model.gamma", 5.0, r"model\.gamma",
+                 id="simulate-model.gamma=5.0"),                 # [ignored]
+    pytest.param("simulate", "model", {"n": 1, "hamiltonian": [{**INLINE_H[0], "suport": [0]}]},
+                 r"model\.hamiltonian\[0\]\.suport",
+                 id="simulate-model.hamiltonian[0].suport"),     # [ignored]
+    pytest.param("sweep-dt", "experiment.m_nodes", 0, r"experiment\.m_nodes",
+                 id="sweep-dt-experiment.m_nodes=0"),            # [traceback]
+    pytest.param("sweep-dt", "experiment.dt_values", [-1e-6, 2e-6], r"experiment\.dt_values\[0\]",
+                 id="sweep-dt-experiment.dt_values[0]"),         # [traceback]
+    pytest.param("sampling-error", "experiment.repetitions", 0, r"experiment\.repetitions",
+                 id="sampling-error-experiment.repetitions=0"),  # [slope nan]
+    pytest.param("sampling-error", "experiment.n_r_values", [0, 4],
+                 r"experiment\.n_r_values\[0\]",
+                 id="sampling-error-experiment.n_r_values[0]"),  # [traceback]
     # One point leaves no log-log slope to fit [printed a made-up slope].
-    ("sweep-dt", "experiment.dt_values", [1e-6], r"experiment\.dt_values"),
-    ("sampling-error", "experiment.n_r_values", [4], r"experiment\.n_r_values"),
-    ("simulate", "run.observables", [{"matrix": NILPOTENT}],
-     r"run\.observables\[0\]\.matrix"),                         # [named run]
+    pytest.param("sweep-dt", "experiment.dt_values", [1e-6], r"experiment\.dt_values",
+                 id="sweep-dt-experiment.dt_values"),
+    pytest.param("sampling-error", "experiment.n_r_values", [4], r"experiment\.n_r_values",
+                 id="sampling-error-experiment.n_r_values"),
+    pytest.param("simulate", "run.observables", [{"matrix": NILPOTENT}],
+                 r"run\.observables\[0\]\.matrix",
+                 id="simulate-run.observables[0].matrix"),       # [named run]
     # sigma- on qubit 1, declared on qubit 0 [accepted]; supports are derived from the
     # operators now, so `support` is an unknown field.
-    ("simulate", "model", {"n": 2, "lindblad": [{"matrix": LOWER_1, "support": [0], "rate": 1.0}]},
-     r"model\.lindblad\[0\]\.support"),
+    pytest.param("simulate", "model",
+                 {"n": 2, "lindblad": [{"matrix": LOWER_1, "support": [0], "rate": 1.0}]},
+                 r"model\.lindblad\[0\]\.support",
+                 id="simulate-model.lindblad[0].support"),
     # A matrix Hamiltonian on two qubits, declared on qubit 0 [accepted, support dropped].
-    ("bounds", "", {"model": {"n": 2,
-                              "hamiltonian": [{"matrix": ZZ, "coeff": 1.0, "support": [0]}]},
-                    "run": {"dt": 1e-6, "n_steps": 5}},
-     r"model\.hamiltonian\[0\]\.support"),
+    pytest.param("bounds", "", {"model": {"n": 2,
+                                          "hamiltonian": [{"matrix": ZZ, "coeff": 1.0,
+                                                           "support": [0]}]},
+                                "run": {"dt": 1e-6, "n_steps": 5}},
+                 r"model\.hamiltonian\[0\]\.support",
+                 id="bounds-model.hamiltonian[0].support"),
     # Rejection branches no other test runs.
-    ("simulate", "model", {"n": 1, "hamiltonian": [{**INLINE_H[0], "support": [0]}]},
-     r"model\.hamiltonian\[0\]\.support"),
-    ("simulate", "model", {"n": 1, "hamiltonian": [{"matrix": EYE4, "coeff": 1.0}]},
-     r"model\.hamiltonian\[0\]\.matrix"),
-    ("simulate", "model", {"n": 1, "hamiltonian": [{"matrix": [[[1, 0], [0, 0]], [[0, 0]]],
-                                                    "coeff": 1.0}]},
-     r"model\.hamiltonian\[0\]\.matrix"),
-    ("simulate", "model.hamiltonian", INLINE_H, r"model\.hamiltonian"),
-    ("simulate", "model", {"n": 1, "hamiltonian": [{"matrix": NILPOTENT, "coeff": 1.0}]},
-     r"model\.hamiltonian\[0\]"),
-    ("simulate", "", [], r"document"),
-    ("simulate", "run.initial_state", [[0, 0], [0, 0]], r"run\.initial_state"),
-    ("sweep-dt", "model", {"n": 1, "hamiltonian": INLINE_H}, r"model"),
+    pytest.param("simulate", "model", {"n": 1, "hamiltonian": [{**INLINE_H[0], "support": [0]}]},
+                 r"model\.hamiltonian\[0\]\.support",
+                 id="simulate-model.hamiltonian[0].support"),
+    pytest.param("simulate", "model", {"n": 1, "hamiltonian": [{"matrix": EYE4, "coeff": 1.0}]},
+                 r"model\.hamiltonian\[0\]\.matrix",
+                 id="simulate-model.hamiltonian[0].matrix-wrong-dim"),
+    pytest.param("simulate", "model",
+                 {"n": 1, "hamiltonian": [{"matrix": [[[1, 0], [0, 0]], [[0, 0]]], "coeff": 1.0}]},
+                 r"model\.hamiltonian\[0\]\.matrix",
+                 id="simulate-model.hamiltonian[0].matrix-ragged"),
+    pytest.param("simulate", "model.hamiltonian", INLINE_H, r"model\.hamiltonian",
+                 id="simulate-model.hamiltonian"),
+    pytest.param("simulate", "model",
+                 {"n": 1, "hamiltonian": [{"matrix": NILPOTENT, "coeff": 1.0}]},
+                 r"model\.hamiltonian\[0\]",
+                 id="simulate-model.hamiltonian[0]"),
+    pytest.param("simulate", "", [], r"document", id="simulate-document"),
+    pytest.param("simulate", "run.initial_state", [[0, 0], [0, 0]], r"run\.initial_state",
+                 id="simulate-run.initial_state"),
+    pytest.param("sweep-dt", "model", {"n": 1, "hamiltonian": INLINE_H}, r"model",
+                 id="sweep-dt-model"),
     # An identity dissipator does not act [fitted a slope through rounding noise].
-    ("sweep-dt", "model", {"n": 1, "lindblad": [{"pauli": "I", "rate": 1.0}]},
-     r"model(?=: sweep-dt needs a dissipator that acts$)"),
-    ("sampling-error", "run.observables", [], r"run\.observables"),
+    pytest.param("sweep-dt", "model", {"n": 1, "lindblad": [{"pauli": "I", "rate": 1.0}]},
+                 r"model(?=: sweep-dt needs a dissipator that acts$)",
+                 id="sweep-dt-model(?=: sweep-dt needs a dissipator that acts$)"),
+    pytest.param("sampling-error", "run.observables", [], r"run\.observables",
+                 id="sampling-error-run.observables"),
 ]
+# pytest renames colliding ids (x0, x1, ...), so a new row must not reuse one.
+assert len({row.id for row in BAD_INPUT}) == len(BAD_INPUT)
 
 
-@pytest.mark.parametrize("command,key,value,path", BAD_INPUT,
-                         ids=[f"{command}-{path.replace(chr(92), '')}"
-                              + ("" if isinstance(value, (dict, list)) else f"={json.dumps(value)}")
-                              for command, _, value, path in BAD_INPUT])
+@pytest.mark.parametrize("command,key,value,path", BAD_INPUT)
 def test_bad_input_names_its_field(tmp_path, command, key, value, path):
     doc = small_sim_config()
     doc["experiment"] = dict(EXPERIMENT.get(command, {}))

@@ -116,6 +116,21 @@ def test_liouvillian_unital_commutator_part():
     assert np.max(np.abs(image)) < 1e-10 * 1e6  # scale of the Hamiltonian
 
 
+def test_term_operators_are_read_only_copies():
+    # A write through a term's operator once changed evolve_exact's result while the
+    # cached supports and rates kept the old values.
+    op = Z.copy()
+    model = LindbladModel(1, (HamiltonianTerm(1.0, X, "x"),), (LindbladTerm(0.5, op, "z"),))
+    op[:] = 0
+    assert_allclose(model.lindblad_terms[0].operator, Z, rtol=0, atol=0)
+    for term in model.hamiltonian_terms + model.lindblad_terms:
+        with pytest.raises(ValueError, match="read-only"):
+            term.operator[:] *= 3
+    preset = presets.two_molecule_model()
+    with pytest.raises(ValueError, match="read-only"):
+        preset.lindblad_terms[2].operator[:] *= 3
+
+
 def test_locality_metadata():
     model = presets.two_molecule_model()
     assert model.k_local == 3  # supports {0}, {1}, {0,1}

@@ -105,6 +105,26 @@ def test_build_plan_empty_and_constant():
         assert_allclose(j[r], j[0], atol=1e-14)
 
 
+@pytest.mark.parametrize("trotter", noisegate.TROTTER_MODES)
+def test_interaction_table_is_the_per_node_product(trotter):
+    # Two products over all channels at once give exactly U(s)^dag L_k U(s) per (k, s).
+    model, M = presets.two_molecule_model(), 256
+    props = closed_propagator(model, np.linspace(0.0, presets.TWO_MOLECULE_DT, M + 1), trotter)[:M]
+    table = noisegate._interaction_table(model, props)
+    direct = np.array([[u.conj().T @ term.operator @ u for u in props]
+                       for term in model.lindblad_terms])
+    assert table.flags.c_contiguous
+    assert np.array_equal(table, direct)
+    plan = build_plan(model, presets.TWO_MOLECULE_DT, trotter, M)
+    assert plan.l_nodes.flags.c_contiguous
+    assert np.array_equal(plan.l_nodes, direct)
+
+
+def test_interaction_table_without_dissipators():
+    model = LindbladModel(2, presets.two_molecule_model().hamiltonian_terms, ())
+    assert build_plan(model, 0.05, M=16).l_nodes.shape == (0, 16, 4, 4)
+
+
 def test_build_plan_nodes_match_direct_computation():
     model = presets.single_spin_model()
     dt = presets.SINGLE_SPIN_DT

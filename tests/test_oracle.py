@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from qnoise import linalg, presets
+from qnoise import model as model_module
 from qnoise.model import HamiltonianTerm, LindbladModel, LindbladTerm, PauliString, liouvillian
 from qnoise.oracle import evolve_exact, evolve_rk4, lindblad_rhs, step_sa
 
@@ -85,6 +86,23 @@ def test_step_sa_dephasing():
     rho = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
     out = step_sa(dephasing_model(gamma), rho, dt)
     assert out[0, 1] == pytest.approx(rho[0, 1] * (1 - 2 * gamma * dt), abs=1e-14)
+
+
+def test_evolve_exact_builds_the_liouvillian_once_per_model(monkeypatch, rng):
+    # On this path only the Liouvillian's build calls total_hamiltonian, so calls count builds.
+    builds = []
+    build = model_module.total_hamiltonian
+    monkeypatch.setattr(model_module, "total_hamiltonian",
+                        lambda model: builds.append(model) or build(model))
+    model = presets.two_molecule_model()
+    rho0 = random_density(rng, 4)
+    for t in (0.1, 0.2, 0.3, 0.4, 0.5):
+        evolve_exact(model, rho0, t)
+    assert len(builds) == 1
+    gen = liouvillian(model)
+    assert gen is liouvillian(model) and not gen.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        gen *= 2
 
 
 def test_step_sa_matches_liouvillian_action(rng):
