@@ -104,6 +104,20 @@ def _slope_text(slope: float) -> str:
     return "undefined: an error is 0" if np.isnan(slope) else f"{slope:.3f}"
 
 
+def _sa_distance(model, rho0, ref, dt: float, n_step: int, gamma: float) -> float:
+    """Trace distance from ref after n_step SA (Euler) steps of rho0.  Exits with an
+    error naming the point if the iterate overflows or its distance cannot be computed."""
+    rho, step = rho0, 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for step in range(1, n_step + 1):
+                rho = oracle.step_sa(model, rho, dt)
+            return linalg.trace_distance(rho, ref)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise SystemExit(f"error: SA diverges at dt = {_fmt(dt)} (gamma*dt = {_fmt(gamma * dt)}), "
+                         f"step {step} of {n_step}: {exc}") from None
+
+
 def cmd_sweep_dt(cfg: Config, args) -> int:
     model, run, exp = cfg.model, cfg.run, cfg.experiment
     gamma = max(model.acting_rates)
@@ -128,12 +142,11 @@ def cmd_sweep_dt(cfg: Config, args) -> int:
                 )
         ref = oracle.evolve_exact(model, rho0, n_step * dt)
         channel = expected_channel(model, dt, run["trotter"], exp["m_nodes"])
-        rho_qn = rho_sa = rho0
+        rho_qn = rho0
         for _ in range(n_step):
             rho_qn = channel(rho_qn)
-            rho_sa = oracle.step_sa(model, rho_sa, dt)
         t_qn = linalg.trace_distance(rho_qn, ref)
-        t_sa = linalg.trace_distance(rho_sa, ref)
+        t_sa = _sa_distance(model, rho0, ref, dt, n_step, gamma)
         inputs = dataclasses.replace(base_inputs, dt=dt, n_steps=n_step)
         bound = bounds_mod.per_step_sum_bound(inputs)
         rows.append(f"{_fmt(gamma * dt)},{_fmt(t_qn)},{_fmt(t_sa)},{_fmt(bound)}")

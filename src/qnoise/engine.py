@@ -33,12 +33,13 @@ block of steps at a time into one buffer of at most NOISE_BLOCK_BYTES (or
 one step, if larger), so the noise memory does not grow with n_steps.
 Streams are read in order, and the values do not depend on the block size.
 
-Streams: each (trajectory, stream) seed s gives the stream of
-np.random.PCG64(s).  A chunk computes all its PCG64 start states in one
-vectorized pass of numpy's SeedSequence hashing (`_stream_states`), and
-draws through one Generator per stream that it points at each trajectory's
-state in turn.  Between blocks it holds only each stream's 128-bit state
-and increment, not a live Generator per stream.
+Streams: each (trajectory, stream) seed s gives a PCG64 stream whose 128-bit
+state and odd increment are the next four splitmix64 outputs from s, so
+trajectory i's stream k is a PCG64 set to the state
+`_stream_states(trajectory_seed(master_seed, i, k))`.  A chunk computes all
+its start states in one vectorized pass, and draws through one Generator per
+stream that it points at each trajectory's state in turn.  Between blocks it
+holds only each stream's state and increment, not a live Generator per stream.
 """
 from __future__ import annotations
 
@@ -46,7 +47,6 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -76,6 +76,15 @@ def trajectory_seed(master_seed: int, index, stream: int):
     s = _splitmix64(np.uint64(master_seed & _MASK64) ^ _splitmix64(np.atleast_1d(idx)))
     seeds = _splitmix64(s ^ _splitmix64(np.atleast_1d(salt)))
     return seeds if np.ndim(index) else int(seeds[0])
+
+
+def _stream_states(seeds: np.ndarray) -> tuple[list[int], list[int]]:
+    """PCG64 (state, inc) for each uint64 seed s, in one pass: the next four outputs w0..w3
+    of a splitmix64 generator started at s give state w0:w1 and the odd inc w2:w3 | 1."""
+    seeds = np.array(seeds, dtype=np.uint64, ndmin=1)
+    w0, w1, w2, w3 = (_splitmix64(seeds + np.uint64(i * 0x9E3779B97F4A7C15 & _MASK64)).tolist()
+                      for i in range(4))
+    return [hi << 64 | lo for hi, lo in zip(w0, w1)], [hi << 64 | lo | 1 for hi, lo in zip(w2, w3)]
 
 
 @dataclass
@@ -123,56 +132,6 @@ class _ChunkStats:
         if self.rho_sum is not None:
             self.rho_sum += other.rho_sum
         self.count += other.count
-
-
-# numpy's SeedSequence (bit_generator.pyx): a 4-word uint32 pool, hash and mix constants.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R, _XSHIFT, _MASK32 = 0xCA01F9DD, 0x4973F715, 16, (1 << 32) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG64's 128-bit LCG multiplier
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_consts(init: int, mult: int, n: int) -> list[tuple[int, int]]:
-    """The (xor, multiply) constant pairs of n successive SeedSequence hashes, as ints."""
-    c = list(accumulate(range(n), lambda h, _: h * mult & _MASK32, initial=init))
-    return list(zip(c, c[1:]))
-
-
-# A seed has at most two entropy words, so every seed takes the same 4 + 12 mixing
-# hashes and 8 output hashes; a seed < 2^32 mixes exactly as if its high word were 0.
-_MIX_HASHES = _hash_consts(_INIT_A, _MULT_A, 16)
-_STATE_HASHES = _hash_consts(_INIT_B, _MULT_B, 8)
-
-
-def _hash(value: np.ndarray, consts: tuple[int, int]) -> np.ndarray:
-    # uint32 array arithmetic wraps mod 2^32 without a warning; the constants are ints.
-    value = (value ^ consts[0]) * consts[1]
-    return value ^ (value >> _XSHIFT)
-
-
-def _stream_states(seeds: np.ndarray) -> tuple[list[int], list[int]]:
-    """The (state, inc) of np.random.PCG64(int(s)) for each uint64 seed s, in one pass.
-
-    SeedSequence's entropy mix and generate_state(4, uint64) run on uint32
-    arrays; PCG64's 128-bit seeding (pcg_setseq_128_srandom_r) on ints.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    words = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
-    hashes = iter(_MIX_HASHES)
-    pool = [_hash(w, next(hashes)) for w in words + [np.zeros_like(words[0])] * 2]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                y = _hash(pool[src], next(hashes))
-                mixed = pool[dst] * _MIX_MULT_L - y * _MIX_MULT_R
-                pool[dst] = mixed ^ (mixed >> _XSHIFT)
-    out = [_hash(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_STATE_HASHES)]
-    # The output read as four little-endian uint64 words: the 128-bit seed, then the stream.
-    s_hi, s_lo, i_hi, i_lo = ((out[i] | out[i + 1] << 32).tolist() for i in range(0, 8, 2))
-    incs = [((hi << 64 | lo) << 1 | 1) & _MASK128 for hi, lo in zip(i_hi, i_lo)]
-    states = [((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128
-              for inc, hi, lo in zip(incs, s_hi, s_lo)]
-    return states, incs
 
 
 # Byte budget of a chunk's noise buffer, refilled one block of steps at a time.

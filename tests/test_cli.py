@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,23 @@ def test_sweep_dt_total_time_composition(tmp_path):
         assert float(row[3]) >= float(row[1])
 
 
+def test_sweep_dt_stops_when_sa_diverges(tmp_path):
+    # At gamma*dt = 1e-2 each Euler step grows the fastest-rotating component of the
+    # single spin, and 500 steps overflow it: this used to write rows of T_sa = nan.
+    doc = {"model": {"preset": "single-spin"}, "run": {"initial_state": "0"},
+           "experiment": {"compose": "total-time", "total_time": 0.05,
+                          "dt_values": [1e-4, 2e-4], "m_nodes": 8}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit, match=r"^error: SA diverges at dt = 0\.0001 "
+                           r"\(gamma\*dt = 0\.01\), step \d+ of 500: "):
+            main(["sweep-dt", cfg, "--out-dir", str(out)])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sampling_error_output(tmp_path):
     doc = small_sim_config()
     doc["experiment"] = {"n_r_values": [10, 40], "repetitions": 3}
@@ -343,7 +361,9 @@ def test_bounds_requires_dt_and_n_steps(tmp_path, missing):
 
 
 def test_simulate_reports_flip_rate(tmp_path, capsys):
-    doc = small_sim_config(n_realizations=200, extra_run={"dt": 1e-5})
+    # 2000 x 5 steps at gamma*dt = 1e-3 expect about 2*gamma*dt*10^4 = 20 flips, so the
+    # guard `expected > 0` fails with probability about e^-20 = 2e-9 for any draws.
+    doc = small_sim_config(n_realizations=2000, extra_run={"dt": 1e-5})
     cfg = write_config(tmp_path, doc)
     main(["simulate", cfg, "--out-dir", str(tmp_path)])
     line = [l for l in capsys.readouterr().out.splitlines() if "ancilla flip rate" in l]
@@ -351,7 +371,7 @@ def test_simulate_reports_flip_rate(tmp_path, capsys):
     printed = float(line[0].split("=")[1].split()[0])
 
     config = RunConfig(
-        model=single_spin_model(), dt=1e-5, n_steps=5, n_realizations=200, master_seed=3,
+        model=single_spin_model(), dt=1e-5, n_steps=5, n_realizations=2000, master_seed=3,
         observables=[("Z", PauliString("Z").matrix())],
     )
     expected = run_ensemble(config).flip_fraction.mean()

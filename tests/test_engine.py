@@ -32,18 +32,41 @@ def dephasing_model(gamma=0.5):
     return LindbladModel(1, (), (LindbladTerm(gamma, Z, "Z"),))
 
 
+MASK64 = (1 << 64) - 1
+GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def scalar_splitmix64(x):
+    """The splitmix64 finalizer written with Python ints mod 2^64."""
+    x = (x + GOLDEN64) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
 def scalar_seed_reference(master_seed, index, stream):
     """The splitmix64 seed mix written with Python ints."""
-    mask = (1 << 64) - 1
+    mix = scalar_splitmix64
+    s = mix((master_seed & MASK64) ^ mix(index & MASK64))
+    return mix(s ^ mix((stream ^ 0xD1B54A32D192ED03) & MASK64))
 
-    def mix(x):
-        x = (x + 0x9E3779B97F4A7C15) & mask
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
-        return x ^ (x >> 31)
 
-    s = mix((master_seed & mask) ^ mix(index & mask))
-    return mix(s ^ mix((stream ^ 0xD1B54A32D192ED03) & mask))
+def scalar_stream_reference(seed):
+    """A seed's PCG64 (state, inc) written with Python ints: the next four outputs of a
+    splitmix64 generator started at the seed, as state w0:w1 and increment w2:w3 | 1."""
+    w0, w1, w2, w3 = (scalar_splitmix64((seed + i * GOLDEN64) & MASK64) for i in range(4))
+    return w0 << 64 | w1, w2 << 64 | w3 | 1
+
+
+def pcg64_state(state, inc):
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": state, "inc": inc}}
+
+
+def fresh_generator(state, inc):
+    bit = np.random.PCG64()
+    bit.state = pcg64_state(state, inc)
+    return np.random.Generator(bit)
 
 
 def test_trajectory_seed_array_matches_scalar_formula():
@@ -390,7 +413,7 @@ def bulk_noise_reference(config, plan, indices):
     noise, uni = [], []
     for idx in indices:
         g_noise, g_meas = (
-            np.random.Generator(np.random.PCG64(trajectory_seed(config.master_seed, int(idx), s)))
+            fresh_generator(*scalar_stream_reference(trajectory_seed(config.master_seed, int(idx), s)))
             for s in (0, 1)
         )
         noise.append(g_noise.standard_normal((config.n_steps,) + plan.factors.shape[:2]))
@@ -429,19 +452,21 @@ def test_ensemble_independent_of_noise_block(monkeypatch, mode):
         assert np.array_equal(getattr(one_block, field), getattr(one_step_blocks, field)), field
 
 
-def test_stream_states_equal_numpy_seeding():
+def test_stream_states_equal_scalar_splitmix64():
     edge = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
     seeds = np.concatenate([np.array(edge, dtype=np.uint64),
                             trajectory_seed(9, np.arange(1000), 0),
                             trajectory_seed(9, np.arange(1000), 1)])
     states, incs = engine._stream_states(seeds)
-    assert len(states) == len(incs) == len(seeds)
+    assert list(zip(states, incs)) == [scalar_stream_reference(s) for s in seeds.tolist()]
+    assert all(inc & 1 for inc in incs)
+    assert len(set(zip(states, incs))) == len(seeds)
+    # An int seed, as trajectory_seed returns for an int index, gives one pair.
+    assert engine._stream_states(2**64 - 1) == ([states[4]], [incs[4]])
     gen = np.random.Generator(np.random.PCG64(0))
     for s, state, inc in zip(seeds.tolist(), states, incs):
-        ref = np.random.Generator(np.random.PCG64(s))
-        assert ref.bit_generator.state["state"] == {"state": state, "inc": inc}, s
-        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
+        ref = fresh_generator(state, inc)
+        gen.bit_generator.state = pcg64_state(state, inc)
         assert gen.standard_normal() == ref.standard_normal(), s
         assert gen.random() == ref.random(), s
 
