@@ -111,11 +111,12 @@ def gate_count_estimate(inputs: BoundInputs, eps_global_target: float) -> int:
     ceil((K J + K (4^m - 1) + 1) * T^2 K^2 (gamma^2 + omega^2) / eps);
     the proportionality constant is fixed to 1 by convention.
     """
-    if eps_global_target <= 0:
-        raise ValueError(f"target error must be positive, got {eps_global_target}")
     gates_per_step = inputs.K * inputs.J + inputs.K * (4**inputs.m - 1) + 1
     scale = inputs.T**2 * inputs.K**2 * (inputs.gamma**2 + inputs.omega**2)
-    return math.ceil(gates_per_step * scale / eps_global_target)
+    count = gates_per_step * scale / eps_global_target if eps_global_target > 0 else math.inf
+    if not math.isfinite(count):
+        raise ValueError(f"target {eps_global_target!r} must be > 0 with a finite gate count")
+    return math.ceil(count)
 
 
 @dataclass(frozen=True)

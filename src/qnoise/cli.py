@@ -105,14 +105,16 @@ def _slope_text(slope: float) -> str:
 
 
 def _sa_distance(model, rho0, ref, dt: float, n_step: int, gamma: float) -> float:
-    """Trace distance from ref after n_step SA (Euler) steps of rho0.  Exits with an
-    error naming the point if the iterate overflows or its distance cannot be computed."""
+    """Trace distance from ref after n_step SA (Euler) steps of rho0.  Exits with an error
+    naming the point if the iterate overflows, or its distance is unknown or above 1/eps."""
     rho, step = rho0, 0
     try:
         with np.errstate(over="raise", invalid="raise"):
             for step in range(1, n_step + 1):
                 rho = oracle.step_sa(model, rho, dt)
-            return linalg.trace_distance(rho, ref)
+            if (distance := linalg.trace_distance(rho, ref)) <= 1 / np.finfo(float).eps:
+                return distance   # beyond, the iterate's unit trace is below its rounding
+            raise FloatingPointError(f"trace distance {distance:.3e} exceeds 1/eps")
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise SystemExit(f"error: SA diverges at dt = {_fmt(dt)} (gamma*dt = {_fmt(gamma * dt)}), "
                          f"step {step} of {n_step}: {exc}") from None
@@ -239,7 +241,10 @@ def cmd_sampling_error(cfg: Config, args) -> int:
 def cmd_bounds(cfg: Config, args) -> int:
     config = cfg.run_config
     inputs = bounds_mod.BoundInputs.from_model(cfg.model, config.dt, config.n_steps, config.trotter)
-    report = bounds_mod.bound_report(inputs, cfg.experiment["eps_target"])
+    try:
+        report = bounds_mod.bound_report(inputs, cfg.experiment["eps_target"])
+    except ValueError as exc:   # only the gate count for eps_target raises here
+        raise SystemExit(f"error: experiment.eps_target: {exc}") from None
     print(report.format_text())
     print(json.dumps(report.to_json()))
     out = _out_dir(args)

@@ -237,18 +237,15 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     d = config.model.dim
     obs_stack = np.array([op for _, op in config.observables], dtype=complex).reshape(-1, d, d)
 
-    all_indices = np.arange(config.n_realizations)
-    chunks = [
-        all_indices[i : i + config.chunk_size]
-        for i in range(0, config.n_realizations, config.chunk_size)
-    ]
-    workers = min(config.threads, len(chunks), os.cpu_count() or 1)
+    starts = range(0, config.n_realizations, config.chunk_size)
+    workers = min(config.threads, len(starts), os.cpu_count() or 1)
     total = _new_stats(config, len(obs_stack))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # Up to `workers` chunks ahead of the fold: no worker idles, and memory stays bounded.
         pending = deque()
-        for c in chunks:
-            pending.append(pool.submit(_run_chunk, config, plan, obs_stack, c))
+        for i in starts:
+            indices = np.arange(i, min(i + config.chunk_size, config.n_realizations))
+            pending.append(pool.submit(_run_chunk, config, plan, obs_stack, indices))
             if len(pending) > workers:
                 total.add(pending.popleft().result())
         for future in pending:

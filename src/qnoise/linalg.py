@@ -1,8 +1,8 @@
 """Dense complex linear algebra primitives for few-qubit simulations.
 
-All functions operate on plain ``numpy`` complex arrays in row-major
-layout.  Target sizes are density matrices up to ~128x128 and vectorized
-superoperators up to ~4096x4096, so everything is dense.
+All functions take plain, dense ``numpy`` complex arrays in row-major layout: density
+matrices up to ~128x128 and superoperators up to ~4096x4096.  Superoperators act on
+`vec`, which stacks columns; `dissipator_superop` is the one dissipator superoperator.
 """
 from __future__ import annotations
 
@@ -103,6 +103,19 @@ def vec(rho: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
+
+
+def dissipator_superop(ops: np.ndarray) -> np.ndarray:
+    """sum_p conj(B_p) x B_p - (I x G + G^T x I)/2 for G = sum_p B_p^dag B_p and a (..., d, d)
+    stack B_p: rho -> sum_p B_p rho B_p^dag - {G, rho}/2 on `vec`(rho), since vec(B rho B^dag)
+    = (conj(B) x B) vec(rho) (Havel, J. Math. Phys. 44, 534, 2003)."""
+    d = np.shape(ops)[-1]
+    flat = np.asarray(ops, dtype=complex).reshape(-1, d * d)
+    # jumps[a, b, c, e] = sum_p conj(B_p[a, b]) B_p[c, e]; G is its trace over a = c.
+    jumps = (flat.conj().T @ flat).reshape(d, d, d, d)
+    g, eye = np.einsum("abae->be", jumps), np.eye(d)
+    superop = jumps.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return superop - 0.5 * (np.kron(eye, g) + np.kron(g.T, eye))
 
 
 # A physical density matrix's tolerances.  The eigenvalue floor is slightly

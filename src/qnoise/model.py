@@ -2,10 +2,10 @@
 qubit supports, derived from their operators by `support` (empty for a zero rate
 or an operator proportional to I), alone give the bounds' K and m.  This module
 alone decides which dissipators act: the gate plan, the bounds and sweep-dt read
-`LindbladModel.acting_rates`, while `dissipator` and `liouvillian`, the
-independent reference, sum every term.  Term operators are read-only copies, so
-what a model caches from them (its supports, its rates, its Liouvillian, built
-once per model and read-only) cannot go stale.
+`LindbladModel.acting_rates`, while `dissipator` and `liouvillian` sum every term, the
+latter through `linalg.dissipator_superop` like the expected channel, the former in action
+form as the reference both are checked against.  Term operators are read-only copies, so
+what a model caches from them (supports, rates, Liouvillian) cannot go stale.
 
 Units: model files carry SI pairs (seconds for times, rad/s for
 frequencies, 1/s for rates).  Internally hbar = 1, so only the
@@ -140,14 +140,10 @@ class LindbladModel:
 
     @cached_property
     def _liouvillian(self) -> np.ndarray:
-        eye = np.eye(self.dim, dtype=complex)
-        h = total_hamiltonian(self)
+        h, eye = total_hamiltonian(self), np.eye(self.dim)
+        ops = [np.sqrt(t.rate) * t.operator for t in self.lindblad_terms]
         gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-        for t in self.lindblad_terms:
-            L = t.operator
-            LdL = L.conj().T @ L
-            gen += t.rate * (np.kron(L.conj(), L) - 0.5 * np.kron(eye, LdL)
-                             - 0.5 * np.kron(LdL.T, eye))
+        gen += linalg.dissipator_superop(np.reshape(ops, (-1, *h.shape)))
         gen.setflags(write=False)
         return gen
 

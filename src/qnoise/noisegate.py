@@ -31,8 +31,8 @@ gives the exponential (`linalg.matexp_antihermitian`)
 partial-trace conjugates with this gate.  measure-reset never forms it:
 `gate_action` applies it to psi x |0> by a truncated Taylor series that scales
 the (..., d) ancilla halves, not the blocks, so it holds one channel's block at a time.
-`expected_channel` evaluates the noise-average of the gate conjugation
-(after tracing the ancilla) deterministically from the same table.
+`expected_channel` evaluates the noise-average of the gate conjugation, ancilla traced
+out, as one deterministic d^2 x d^2 matrix from the same table (`linalg.dissipator_superop`).
 """
 from __future__ import annotations
 
@@ -196,28 +196,15 @@ def expected_channel(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Deterministic noise-average of the gate: rho -> U(rho + int D(s) rho ds) U^dag.
 
-    The integral uses the same M-node left-endpoint grid whose law the sampler
-    draws, so the channel is exactly the mean of the sampled conjugations to
-    O((gamma dt)^2).  Over the active (channel, node) pieces
-    B_p = sqrt(gamma_k dt/M) L_k(s_r) it applies
-    rho + sum_p B_p rho B_p^dag - (G rho + rho G)/2, G = sum_p B_p^dag B_p,
-    with the jump sum precontracted over p into one d^2 x d^2 matrix.
+    The integral uses the same M-node left-endpoint grid whose law the sampler draws, so
+    the channel is exactly the mean of the sampled conjugations to O((gamma dt)^2).  It is
+    one d^2 x d^2 matrix on `linalg.vec`(rho), built once: (conj(U) x U)(I + D) for D the
+    `linalg.dissipator_superop` of the pieces B_p = sqrt(gamma_k dt/M) L_k(s_r), k active.
     """
     plan = build_plan(model, dt, trotter, M)
-    d = model.dim
-    active = np.flatnonzero(plan.rates)
+    d, active = model.dim, np.flatnonzero(plan.rates)
     pieces = plan.l_nodes[active]                    # advanced indexing: a copy
     pieces *= np.sqrt(plan.rates[active] * dt / M)[:, None, None, None]
-    flat = pieces.reshape(-1, d * d)                 # rows p, columns (i, j)
-    # jumps[a, b, c, e] = sum_p conj(B_p[a, b]) B_p[c, e]; G is its trace over a = c.
-    jumps = (flat.conj().T @ flat).reshape(d, d, d, d)
-    g = np.einsum("abae->be", jumps)
     u = plan.u_full[0::2, 0::2]
-
-    def channel(rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        acc = rho + np.tensordot(jumps, rho, axes=([3, 1], [0, 1])).T
-        acc -= 0.5 * (g @ rho + rho @ g)
-        return u @ acc @ u.conj().T
-
-    return channel
+    phi = np.kron(u.conj(), u) @ (np.eye(d * d) + linalg.dissipator_superop(pieces))
+    return lambda rho: linalg.unvec(phi @ linalg.vec(rho), d)

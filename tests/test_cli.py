@@ -209,18 +209,23 @@ def test_sweep_dt_total_time_composition(tmp_path):
 def test_sweep_dt_stops_when_sa_diverges(tmp_path):
     # At gamma*dt = 1e-2 each Euler step grows the fastest-rotating component of the
     # single spin, and 500 steps overflow it: this used to write rows of T_sa = nan.
-    doc = {"model": {"preset": "single-spin"}, "run": {"initial_state": "0"},
-           "experiment": {"compose": "total-time", "total_time": 0.05,
-                          "dt_values": [1e-4, 2e-4], "m_nodes": 8}}
-    cfg = write_config(tmp_path, doc)
-    out = tmp_path / "out"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(SystemExit, match=r"^error: SA diverges at dt = 0\.0001 "
-                           r"\(gamma\*dt = 0\.01\), step \d+ of 500: "):
-            main(["sweep-dt", cfg, "--out-dir", str(out)])
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert not (out / "sweep.csv").exists()
+    # At dt = 1e-6 the 500 steps stay finite but reach T_sa = 9.16e25, where the
+    # iterate's unit trace is below its rounding: this used to be written as a number.
+    cases = [(0.05, [1e-4, 2e-4], r"0\.0001 \(gamma\*dt = 0\.01\), step \d+ of 500: "),
+             (5e-4, [1e-6, 2e-6], r"1e-06 \(gamma\*dt = [^)]+\), step 500 of 500: "
+                                  r"trace distance \S+ exceeds 1/eps$")]
+    for i, (total_time, dt_values, message) in enumerate(cases):
+        doc = {"model": {"preset": "single-spin"}, "run": {"initial_state": "0"},
+               "experiment": {"compose": "total-time", "total_time": total_time,
+                              "dt_values": dt_values, "m_nodes": 8}}
+        cfg = write_config(tmp_path, doc, f"case{i}.json")
+        out = tmp_path / f"out{i}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SystemExit, match=rf"^error: SA diverges at dt = {message}"):
+                main(["sweep-dt", cfg, "--out-dir", str(out)])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "sweep.csv").exists()
 
 
 def test_sampling_error_output(tmp_path):
@@ -484,6 +489,8 @@ BAD_INPUT = [
                  id="sweep-dt-model(?=: sweep-dt needs a dissipator that acts$)"),
     pytest.param("sampling-error", "run.observables", [], r"run\.observables",
                  id="sampling-error-run.observables"),
+    pytest.param("bounds", "experiment.eps_target", 1e-308, r"experiment\.eps_target",
+                 id="bounds-experiment.eps_target=1e-308"),  # [OverflowError traceback]
 ]
 # pytest renames colliding ids (x0, x1, ...), so a new row must not reuse one.
 assert len({row.id for row in BAD_INPUT}) == len(BAD_INPUT)

@@ -507,20 +507,23 @@ def test_chunk_memory_does_not_grow_with_chunk_count(monkeypatch, threads):
 
     monkeypatch.setattr(engine, "_run_chunk", empty_chunk)
 
-    def peak_bytes(n_chunks):
-        cfg = RunConfig(model=presets.single_spin_model(), dt=1e-6, n_steps=2000,
-                        n_realizations=n_chunks, observables=[("Z", Z)], record_rho=True,
-                        chunk_size=1, threads=threads)
+    def peak_bytes(n_chunks, chunk_size, n_steps, record_rho):
+        cfg = RunConfig(model=presets.single_spin_model(), dt=1e-6, n_steps=n_steps,
+                        n_realizations=n_chunks * chunk_size, observables=[("Z", Z)],
+                        record_rho=record_rho, chunk_size=chunk_size, threads=threads)
         tracemalloc.start()
         try:
-            assert run_ensemble(cfg).n_realizations == n_chunks
+            assert run_ensemble(cfg).n_realizations == n_chunks * chunk_size
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    few, many = peak_bytes(8), peak_bytes(64)
-    assert many <= 1.25 * few, (f"peak {few / 2**20:.2f} MB at 8 chunks, "
-                                f"{many / 2**20:.2f} MB at 64")
+    # Large per-step sums in small chunks; then large chunks, whose indices held for the
+    # whole run took 8 bytes per realization.
+    for case in [(1, 2000, True), (65536, 2, False)]:
+        few, many = peak_bytes(8, *case), peak_bytes(64, *case)
+        assert many <= 1.25 * few, (f"{case}: peak {few / 2**20:.2f} MB at 8 chunks, "
+                                    f"{many / 2**20:.2f} MB at 64")
 
 
 def test_noise_memory_does_not_grow_with_steps():

@@ -160,6 +160,18 @@ def test_vec_column_stacking():
     assert_allclose(linalg.unvec(linalg.vec(rho), 2), rho)
 
 
+@pytest.mark.parametrize("p", [0, 1, 5])
+@pytest.mark.parametrize("d", [2, 4])
+def test_dissipator_superop_matches_action(rng, p, d):
+    ops = random_complex(rng, (p, d, d))
+    rho = random_density(rng, d)
+    g = sum((b.conj().T @ b for b in ops), np.zeros((d, d)))
+    action = sum((b @ rho @ b.conj().T for b in ops), np.zeros((d, d))) - 0.5 * (g @ rho + rho @ g)
+    superop = linalg.dissipator_superop(ops)
+    assert superop.shape == (d * d, d * d)
+    assert_allclose(linalg.unvec(superop @ linalg.vec(rho), d), action, rtol=0, atol=1e-12)
+
+
 def test_hermiticity_predicates(rng):
     h = random_complex(rng, (4, 4))
     herm = h + h.conj().T
