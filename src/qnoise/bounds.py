@@ -155,15 +155,23 @@ class BoundReport:
 def bound_report(
     inputs: BoundInputs, eps_global_target: Optional[float] = None
 ) -> BoundReport:
-    eps_p = epsilon_p_bound(inputs)
-    eps_T = epsilon_T_bound(inputs)
+    """The bounds at `inputs`; OverflowError if one of them overflows a float."""
+    try:
+        with np.errstate(over="raise"):
+            eps = (epsilon_p_bound(inputs), epsilon_T_bound(inputs),
+                   epsilon_global_bound(inputs), per_step_sum_bound(inputs))
+    except (OverflowError, FloatingPointError):   # Python float ** and numpy scalars raise
+        eps = (math.inf,)
+    if not all(map(math.isfinite, eps)):
+        raise OverflowError(f"dt = {inputs.dt!r} over {inputs.n_steps} steps overflows the bounds")
+    eps_p, eps_T, eps_global, eps_per_step_sum = eps
     return BoundReport(
         inputs=inputs,
         eps_p=eps_p,
         eps_T=eps_T,
         eps_step=eps_p + eps_T,
-        eps_global=epsilon_global_bound(inputs),
-        eps_per_step_sum=per_step_sum_bound(inputs),
+        eps_global=eps_global,
+        eps_per_step_sum=eps_per_step_sum,
         gate_count=(
             gate_count_estimate(inputs, eps_global_target)
             if eps_global_target is not None

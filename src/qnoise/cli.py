@@ -243,6 +243,8 @@ def cmd_bounds(cfg: Config, args) -> int:
     inputs = bounds_mod.BoundInputs.from_model(cfg.model, config.dt, config.n_steps, config.trotter)
     try:
         report = bounds_mod.bound_report(inputs, cfg.experiment["eps_target"])
+    except OverflowError as exc:
+        raise SystemExit(f"error: run.dt: {exc}") from None
     except ValueError as exc:   # only the gate count for eps_target raises here
         raise SystemExit(f"error: experiment.eps_target: {exc}") from None
     print(report.format_text())

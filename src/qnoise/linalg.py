@@ -105,14 +105,22 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
 
 
-def dissipator_superop(ops: np.ndarray) -> np.ndarray:
+def dissipator_superop(ops: np.ndarray, phases: np.ndarray | None = None) -> np.ndarray:
     """sum_p conj(B_p) x B_p - (I x G + G^T x I)/2 for G = sum_p B_p^dag B_p and a (..., d, d)
     stack B_p: rho -> sum_p B_p rho B_p^dag - {G, rho}/2 on `vec`(rho), since vec(B rho B^dag)
-    = (conj(B) x B) vec(rho) (Havel, J. Math. Phys. 44, 534, 2003)."""
+    = (conj(B) x B) vec(rho) (Havel, J. Math. Phys. 44, 534, 2003).
+
+    Given a (..., d, d) stack `phases`, the pieces are every elementwise product
+    phases[r] * ops[k], never formed: their jump tensor is the elementwise product of the
+    two stacks' Gram matrices."""
     d = np.shape(ops)[-1]
     flat = np.asarray(ops, dtype=complex).reshape(-1, d * d)
     # jumps[a, b, c, e] = sum_p conj(B_p[a, b]) B_p[c, e]; G is its trace over a = c.
-    jumps = (flat.conj().T @ flat).reshape(d, d, d, d)
+    jumps = flat.conj().T @ flat
+    if phases is not None:
+        flat = np.asarray(phases, dtype=complex).reshape(-1, d * d)
+        jumps *= flat.conj().T @ flat
+    jumps = jumps.reshape(d, d, d, d)
     g, eye = np.einsum("abae->be", jumps), np.eye(d)
     superop = jumps.transpose(0, 2, 1, 3).reshape(d * d, d * d)
     return superop - 0.5 * (np.kron(eye, g) + np.kron(g.T, eye))

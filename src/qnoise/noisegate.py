@@ -9,7 +9,7 @@ J_k(s) = kron(L_k(s), sigma+) - kron(L_k(s)^dag, sigma-) against a Wiener
 path on an M-node left-endpoint grid s_r = r*dt/M.  The ancilla is the
 last tensor factor, so a full index decomposes as sys*2 + anc.
 
-Everything is assembled from one table of d x d interaction-picture
+The gates are assembled from one table of d x d interaction-picture
 operators L_k(s_r) = U(s_r)^dag L_k U(s_r), r = 0..M-1
 (`NoiseGatePlan.l_nodes`, shape (K, M, d, d)), filled by two batched products
 over the M nodes, U(s_r)^dag [L_0 ... L_{K-1}] and then that times U(s_r), from
@@ -32,7 +32,9 @@ partial-trace conjugates with this gate.  measure-reset never forms it:
 `gate_action` applies it to psi x |0> by a truncated Taylor series that scales
 the (..., d) ancilla halves, not the blocks, so it holds one channel's block at a time.
 `expected_channel` evaluates the noise-average of the gate conjugation, ancilla traced
-out, as one deterministic d^2 x d^2 matrix from the same table (`linalg.dissipator_superop`).
+out, as one deterministic d^2 x d^2 matrix (`linalg.dissipator_superop`) over the same
+nodes.  Under Trotterization it reads the table; in exact mode it builds none, and takes
+each node's phases e^{i (E_a - E_b) s_r} from the Bohr frequencies of H instead.
 """
 from __future__ import annotations
 
@@ -123,14 +125,19 @@ class NoiseGatePlan:
         return (scale[:, None] * sv)[..., None] * vt
 
 
-def build_plan(
-    model: LindbladModel, dt: float, trotter: str = "exact", M: int = 8
-) -> NoiseGatePlan:
+def _grid(dt: float, M: int) -> np.ndarray:
+    """The M + 1 times r*dt/M, r = 0..M: the left-endpoint nodes and then dt."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    props = closed_propagator(model, np.linspace(0.0, dt, M + 1), trotter)
+    return np.linspace(0.0, dt, M + 1)
+
+
+def build_plan(
+    model: LindbladModel, dt: float, trotter: str = "exact", M: int = 8
+) -> NoiseGatePlan:
+    props = closed_propagator(model, _grid(dt, M), trotter)
     return NoiseGatePlan(
         dt=dt,
         m_nodes=M,
@@ -200,11 +207,31 @@ def expected_channel(
     the channel is exactly the mean of the sampled conjugations to O((gamma dt)^2).  It is
     one d^2 x d^2 matrix on `linalg.vec`(rho), built once: (conj(U) x U)(I + D) for D the
     `linalg.dissipator_superop` of the pieces B_p = sqrt(gamma_k dt/M) L_k(s_r), k active.
+
+    In exact mode no table is built.  With H = V diag(E) V^dag, L_k(s) = V (phi(s) * L~_k) V^dag
+    for L~_k = V^dag L_k V and phi(s)[a, b] = e^{i (E_a - E_b) s} (the Bohr-frequency
+    decomposition; Breuer & Petruccione 2002, sec. 3.3), so D = W D~ W^dag with W = conj(V) x V
+    and D~ the superoperator of the K x M products phi(s_r) * L~_k, taken from their K-term and
+    M-term Gram matrices.  The Trotter modes' U(s) has no such form; they read the plan's table.
     """
-    plan = build_plan(model, dt, trotter, M)
-    d, active = model.dim, np.flatnonzero(plan.rates)
-    pieces = plan.l_nodes[active]                    # advanced indexing: a copy
-    pieces *= np.sqrt(plan.rates[active] * dt / M)[:, None, None, None]
-    u = plan.u_full[0::2, 0::2]
-    phi = np.kron(u.conj(), u) @ (np.eye(d * d) + linalg.dissipator_superop(pieces))
+    d = model.dim
+    if trotter == "exact":
+        nodes = _grid(dt, M)[:M]
+        rates = np.array(model.acting_rates)
+        active = np.flatnonzero(rates)
+        e, v = np.linalg.eigh(total_hamiltonian(model))
+        ops = np.array([model.lindblad_terms[k].operator for k in active]).reshape(-1, d, d)
+        ops = v.conj().T @ ops @ v * np.sqrt(rates[active] * dt / M)[:, None, None]
+        p = np.exp(1j * np.multiply.outer(nodes, e))
+        w = np.kron(v.conj(), v)
+        diss = w @ linalg.dissipator_superop(ops, p[:, :, None] * p.conj()[:, None, :]) @ w.conj().T
+        u = closed_propagator(model, dt)
+    else:
+        plan = build_plan(model, dt, trotter, M)
+        active = np.flatnonzero(plan.rates)
+        pieces = plan.l_nodes[active]                    # advanced indexing: a copy
+        pieces *= np.sqrt(plan.rates[active] * dt / M)[:, None, None, None]
+        diss = linalg.dissipator_superop(pieces)
+        u = plan.u_full[0::2, 0::2]
+    phi = np.kron(u.conj(), u) @ (np.eye(d * d) + diss)
     return lambda rho: linalg.unvec(phi @ linalg.vec(rho), d)

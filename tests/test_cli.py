@@ -491,6 +491,8 @@ BAD_INPUT = [
                  id="sampling-error-run.observables"),
     pytest.param("bounds", "experiment.eps_target", 1e-308, r"experiment\.eps_target",
                  id="bounds-experiment.eps_target=1e-308"),  # [OverflowError traceback]
+    pytest.param("bounds", "run.dt", 1e200, r"run\.dt",
+                 id="bounds-run.dt=1e200"),                      # [wrote Infinity]
 ]
 # pytest renames colliding ids (x0, x1, ...), so a new row must not reuse one.
 assert len({row.id for row in BAD_INPUT}) == len(BAD_INPUT)
@@ -554,6 +556,13 @@ def test_bounds_trotter_order_follows_run_trotter(tmp_path, capsys, trotter):
     assert report == json.loads(json.dumps(expected.to_json()))
     eps_T = {"exact": 0.0, "order-1": 0.0685, "order-2": 0.0179}[trotter]
     assert report["eps_T"] == pytest.approx(eps_T, abs=1e-4)
+    # A dt at which a bound overflows a float names run.dt and writes nothing
+    # [exact wrote Infinity, order-1 ended in an OverflowError traceback].
+    (tmp_path / "bounds.json").unlink()
+    doc["run"].update(dt=1e200, n_steps=5)
+    with pytest.raises(SystemExit, match=r"^error: run\.dt: "):
+        main(["bounds", write_config(tmp_path, doc), "--out-dir", str(tmp_path)])
+    assert not (tmp_path / "bounds.json").exists()
 
 
 def test_readme_documents_every_config_key():

@@ -170,6 +170,11 @@ def test_dissipator_superop_matches_action(rng, p, d):
     superop = linalg.dissipator_superop(ops)
     assert superop.shape == (d * d, d * d)
     assert_allclose(linalg.unvec(superop @ linalg.vec(rho), d), action, rtol=0, atol=1e-12)
+    # With phases, the pieces are every product phases[r] * ops[k], here formed explicitly.
+    phases = random_complex(rng, (3, d, d))
+    pieces = (phases[:, None] * ops[None]).reshape(-1, d, d)
+    assert_allclose(linalg.dissipator_superop(ops, phases), linalg.dissipator_superop(pieces),
+                    rtol=0, atol=1e-12)
 
 
 def test_hermiticity_predicates(rng):

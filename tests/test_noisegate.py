@@ -439,6 +439,25 @@ def test_factor_reproduces_grid_law(make_model, dt, M, trotter):
     assert np.array_equal(z.ravel(), np.random.default_rng(6).standard_normal(z.size))
 
 
+def test_exact_channel_builds_no_table(monkeypatch):
+    # Exact mode sums the nodes through H's Bohr frequencies; only the Trotter modes
+    # read the (K, M, d, d) interaction table.
+    model, dt = presets.two_molecule_model(), presets.TWO_MOLECULE_DT
+    rho = random_density(np.random.default_rng(17), model.dim)
+    want = reference_channel(model, dt, "exact", 16, rho)
+
+    def forbidden(*args):
+        raise AssertionError("built the interaction table")
+
+    monkeypatch.setattr(noisegate, "_interaction_table", forbidden)
+    assert_allclose(expected_channel(model, dt, "exact", 16)(rho), want, rtol=0, atol=1e-12)
+    with pytest.raises(AssertionError, match="interaction table"):
+        expected_channel(model, dt, "order-1", 16)
+    for bad_dt, bad_m, trotter in [(0.0, 16, "exact"), (dt, 0, "exact"), (dt, 16, "order-3")]:
+        with pytest.raises(ValueError):
+            expected_channel(model, bad_dt, trotter, bad_m)
+
+
 def test_factor_stays_off_the_reference_path(monkeypatch):
     def forbidden(plan):
         raise AssertionError("the expected channel computed the sampler's factor")
@@ -457,8 +476,34 @@ def test_lowering_channel_block_is_rank_one():
     assert sv[0] > 0.1 and sv[1] < 1e-14
 
 
+def degenerate_model():
+    # H = ZZ + 0.4 YI has two doubly degenerate levels (YI anticommutes with ZZ), so eigh may
+    # return any basis of each, and its eigenvectors are complex.
+    eye = np.eye(2)
+    return LindbladModel(
+        2,
+        (HamiltonianTerm(1.0, PauliString("ZZ").matrix()), HamiltonianTerm(0.4, np.kron(Y, eye))),
+        (LindbladTerm(0.3, np.kron(SIGMA_MINUS, eye), "lower-0"),
+         LindbladTerm(0.2, np.kron(eye, Z), "dephase-1")),
+    )
+
+
+def undriven_model():
+    return LindbladModel(
+        1, (), (LindbladTerm(0.8, SIGMA_MINUS, "lower"), LindbladTerm(0.4, Z, "Z"))
+    )
+
+
+CHANNEL_CASES = EQUIVALENCE_CASES + [
+    # The lowering model's Bohr frequency is 3, so 3 dt/M = 2 pi: every node has phase 1.
+    pytest.param(lowering_model, 16 * np.pi / 3, 8, id="lowering-aliased"),
+    pytest.param(degenerate_model, 0.3, 8, id="degenerate"),
+    pytest.param(undriven_model, 0.3, 8, id="no-hamiltonian"),
+]
+
+
 @pytest.mark.parametrize("trotter", ["exact", "order-1", "order-2"])
-@pytest.mark.parametrize("make_model,dt,M", EQUIVALENCE_CASES)
+@pytest.mark.parametrize("make_model,dt,M", CHANNEL_CASES)
 def test_expected_channel_matches_piece_loop(make_model, dt, M, trotter):
     model = make_model()
     rho = random_density(np.random.default_rng(17), model.dim)
