@@ -109,11 +109,18 @@ def gate_count_estimate(inputs: BoundInputs, eps_global_target: float) -> int:
     """Order-of-magnitude gate count to reach a target accumulated error.
 
     ceil((K J + K (4^m - 1) + 1) * T^2 K^2 (gamma^2 + omega^2) / eps);
-    the proportionality constant is fixed to 1 by convention.
+    the proportionality constant is fixed to 1 by convention.  OverflowError if the
+    count overflows a float before the division by the target, ValueError if after.
     """
     gates_per_step = inputs.K * inputs.J + inputs.K * (4**inputs.m - 1) + 1
-    scale = inputs.T**2 * inputs.K**2 * (inputs.gamma**2 + inputs.omega**2)
-    count = gates_per_step * scale / eps_global_target if eps_global_target > 0 else math.inf
+    try:   # Python float ** raises on overflow
+        scale = gates_per_step * (inputs.T**2 * inputs.K**2 * (inputs.gamma**2 + inputs.omega**2))
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise OverflowError(f"dt = {inputs.dt!r} over {inputs.n_steps} steps overflows the "
+                            "gate count")
+    count = scale / eps_global_target if eps_global_target > 0 else math.inf
     if not math.isfinite(count):
         raise ValueError(f"target {eps_global_target!r} must be > 0 with a finite gate count")
     return math.ceil(count)
@@ -155,7 +162,8 @@ class BoundReport:
 def bound_report(
     inputs: BoundInputs, eps_global_target: Optional[float] = None
 ) -> BoundReport:
-    """The bounds at `inputs`; OverflowError if one of them overflows a float."""
+    """The bounds at `inputs`; OverflowError if one of them, or the gate count before its
+    division by the target, overflows a float."""
     try:
         with np.errstate(over="raise"):
             eps = (epsilon_p_bound(inputs), epsilon_T_bound(inputs),

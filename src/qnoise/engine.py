@@ -27,10 +27,11 @@ order, so memory does not grow with the chunk count.  Standard errors come
 from centred sums of squares, merged pairwise across chunks, so they agree
 across chunk sizes to rounding even when the spread is tiny.
 
-Noise: standard normals, min(M, 2d^2) per channel that acts (`acting_rates`),
-that `noisegate` multiplies by a per-channel factor.  A chunk draws them one
-block of steps at a time into one buffer of at most NOISE_BLOCK_BYTES (or
-one step, if larger), so the noise memory does not grow with n_steps.
+Noise: standard normals, one per row of `NoiseGatePlan.factors` for each channel
+that acts (`acting_rates`), that `noisegate` multiplies by the channel's factor.
+A chunk draws them one block of steps at a time into one buffer of at most
+NOISE_BLOCK_BYTES (or one step, if larger), so the noise memory does not grow
+with n_steps.
 Streams are read in order, and the values do not depend on the block size.
 
 Streams: each (trajectory, stream) seed s gives a PCG64 stream whose 128-bit

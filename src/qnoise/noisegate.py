@@ -20,10 +20,14 @@ A = sqrt(gamma_k) sum_r L_k(s_r) dW_r = sqrt(gamma_k) T_k^T dW for T_k the
 table of channel k viewed as (M, 2d^2) reals.  So A is exactly
 Normal(0, gamma_k (dt/M) T_k^T T_k) (Wiener integrals of deterministic
 integrands; Kloeden & Platen 1992), and the sampler draws that law, not the
-path: A = z F_k for min(M, 2d^2) standard normals z and the factor
-F_k = sqrt(gamma_k dt/M) D Q^T of the thin SVD T_k = P D Q^T
-(`NoiseGatePlan.factors`).  The SVD A = W Sigma V^dag of each sampled block
-gives the exponential (`linalg.matexp_antihermitian`)
+path: A = z F_k for r standard normals z and the factor F_k = sqrt(gamma_k dt/M) D Q^T
+of the thin SVD T_k = P D Q^T, cut to its first r rows (`NoiseGatePlan.factors`).
+r is the largest numerical rank over the channels, the rows above RANK_CUT times the
+channel's largest singular value.  It stays small whatever M is: L_k(s) is a sum of
+e^{i w s} L_k^w over the Bohr frequencies w of H (Breuer & Petruccione 2002, sec. 3.3),
+so T_k spans a few real directions (3 of 8 rows on single-spin, 5 of 32 on two-molecule),
+and the dropped rows change the law by less than RANK_CUT^2, relative.  The SVD
+A = W Sigma V^dag of each sampled block gives the exponential (`linalg.matexp_antihermitian`)
 
     [[V cos(Sigma) V^dag, -V sin(Sigma) W^dag],
      [W sin(Sigma) V^dag,  W cos(Sigma) W^dag]].
@@ -49,6 +53,9 @@ from . import linalg
 from .model import LindbladModel, total_hamiltonian
 
 TROTTER_MODES = ("exact", "order-1", "order-2")
+
+# A factor row whose singular value is at most RANK_CUT times its channel's largest is rounding.
+RANK_CUT = 1e-14
 
 
 def closed_propagator(model: LindbladModel, t, trotter: str = "exact") -> np.ndarray:
@@ -115,14 +122,18 @@ class NoiseGatePlan:
     @cached_property
     def factors(self) -> np.ndarray:
         """F_k = sqrt(gamma_k dt/M) D Q^T of T_k = P D Q^T for each channel that acts
-        (nonzero in `rates`), ascending, shape (K_active, min(M, 2d^2), 2d^2): z F_k for standard
-        normals z has A_k's law.  Computed on first use, so the expected channel never does."""
+        (nonzero in `rates`), ascending, shape (K_active, r, 2d^2): z F_k for r standard
+        normals z has A_k's law, to the rows dropped below RANK_CUT.  r is the largest count
+        of singular values above RANK_CUT times their channel's largest, 0 if no channel acts.
+        Computed on first use, so the expected channel never does."""
         active = np.flatnonzero(self.rates)
         d, M = self.system_dim, self.m_nodes
         table = self.l_nodes[active].reshape(len(active), M, d * d).view(np.float64)
         _, sv, vt = np.linalg.svd(table, full_matrices=False)
+        # Rows come in descending order, so the largest numerical rank r is a prefix for all.
+        r = int((sv > RANK_CUT * sv[:, :1]).sum(axis=1).max(initial=0))
         scale = np.sqrt(self.rates[active] * self.dt / M)
-        return (scale[:, None] * sv)[..., None] * vt
+        return (scale[:, None] * sv[:, :r])[..., None] * vt[:, :r]
 
 
 def _grid(dt: float, M: int) -> np.ndarray:

@@ -493,6 +493,16 @@ BAD_INPUT = [
                  id="bounds-experiment.eps_target=1e-308"),  # [OverflowError traceback]
     pytest.param("bounds", "run.dt", 1e200, r"run\.dt",
                  id="bounds-run.dt=1e200"),                      # [wrote Infinity]
+    # The bounds are finite, but T^2 K^2 (gamma^2 + omega^2) in the gate count is not
+    # [named experiment.eps_target]; only the division by the target overflows at 1e-308.
+    pytest.param("bounds", "", {"model": {"preset": "single-spin"},
+                                "run": {"dt": 1e150, "n_steps": 5},
+                                "experiment": {"eps_target": 1e-4}},
+                 r"run\.dt", id="bounds-run.dt=1e150"),
+    pytest.param("bounds", "", {"model": {"preset": "single-spin"},
+                                "run": {"dt": 1e-6, "n_steps": 30},
+                                "experiment": {"eps_target": 1e-308}},
+                 r"experiment\.eps_target", id="bounds-experiment.eps_target=1e-308-30-steps"),
 ]
 # pytest renames colliding ids (x0, x1, ...), so a new row must not reuse one.
 assert len({row.id for row in BAD_INPUT}) == len(BAD_INPUT)

@@ -431,7 +431,8 @@ def test_streamed_noise_equals_bulk_draw(monkeypatch):
     plan = build_plan(cfg.model, cfg.dt, cfg.trotter, cfg.m_nodes)
     indices = np.arange(3, 27)
     noise_ref, uni_ref = bulk_noise_reference(cfg, plan, indices)
-    assert noise_ref.shape == (24, 7, len(plan.rates) - 2, 16)   # ZX and ZY have rate zero
+    # ZX and ZY have rate zero; each active channel draws one normal per factor row.
+    assert noise_ref.shape == (24, 7, len(plan.rates) - 2, plan.factors.shape[1])
     step_bytes = len(indices) * math.prod(plan.factors.shape[:2]) * 8
     # One block; three steps per block with a short last block; one step per block.
     for budget in (engine.NOISE_BLOCK_BYTES, 3 * step_bytes, 1):

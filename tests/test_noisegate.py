@@ -7,7 +7,8 @@ from scipy.linalg import expm
 
 from qnoise import linalg, noisegate, presets
 from qnoise.bounds import BoundInputs, epsilon_p_bound
-from qnoise.config import load_model
+from qnoise.config import RunConfig, load_model
+from qnoise.engine import run_ensemble
 from qnoise.model import (
     HamiltonianTerm,
     LindbladModel,
@@ -147,7 +148,7 @@ def test_sample_Sk_anti_hermitian(rng):
 
 def test_sample_Sk_zero_increments_and_zero_mean(rng):
     plan = build_plan(driven_dephasing(), 0.01, M=8)
-    gate = gates_from_increments(plan, np.zeros((1, 8)))
+    gate = gates_from_increments(plan, np.zeros(plan.factors.shape[:2]))
     assert_allclose(gate, plan.u_full, atol=1e-12)
 
     # entry-wise mean of S over many draws is 0 within 4 standard errors
@@ -232,7 +233,7 @@ def test_sample_gate_records_increments(rng):
     model = presets.single_spin_model()
     plan = build_plan(model, presets.SINGLE_SPIN_DT, M=8)
     z = sample_noise(plan, rng)
-    assert z.shape == (3, 8)   # three active channels, min(M, 2d^2) = 8 normals each
+    assert z.shape == (3, kept_rank(plan))   # three active channels, one normal per factor row
     # the same noise rebuilds the same gate, alone or in a batch
     gate = gates_from_increments(plan, z)
     assert_allclose(gates_from_increments(plan, z[None])[0], gate, atol=1e-14)
@@ -414,6 +415,19 @@ def test_gates_match_kronecker_reference(make_model, dt, M, trotter):
         assert_allclose(gate, plan.u_full, atol=1e-14)
 
 
+def channel_singular_values(plan):
+    """Descending singular values of each active channel's (M, 2d^2) real node table."""
+    M, d = plan.m_nodes, plan.system_dim
+    return [np.linalg.svd(plan.l_nodes[k].reshape(M, d * d).view(np.float64), compute_uv=False)
+            for k in np.flatnonzero(plan.rates)]
+
+
+def kept_rank(plan):
+    """The largest number of singular values above RANK_CUT of their channel's largest."""
+    return max((np.count_nonzero(sv > noisegate.RANK_CUT * sv[0])
+                for sv in channel_singular_values(plan)), default=0)
+
+
 def grid_covariance_cases():
     cases = [pytest.param(*case.values, trotter, id=f"{case.id}-{trotter}")
              for case in EQUIVALENCE_CASES for trotter in ("exact", "order-1", "order-2")]
@@ -428,15 +442,39 @@ def test_factor_reproduces_grid_law(make_model, dt, M, trotter):
     plan = build_plan(make_model(), dt, trotter, M)
     d = plan.system_dim
     active = np.flatnonzero(plan.rates)
-    assert plan.factors.shape == (len(active), min(M, 2 * d * d), 2 * d * d)
+    r = kept_rank(plan)
+    assert plan.factors.shape == (len(active), r, 2 * d * d)
     for f, k in zip(plan.factors, active):
         table = plan.l_nodes[k].reshape(M, d * d).view(np.float64)
         cov = plan.rates[k] * dt / M * (table.T @ table)
         assert np.max(np.abs(f.T @ f - cov)) <= 1e-13 * np.max(np.abs(cov))
     # Zero-rate channels have no factor row and draw nothing.
     z = sample_noise(plan, np.random.default_rng(6), (5,))
-    assert z.shape == (5, len(active), min(M, 2 * d * d))
+    assert z.shape == (5, len(active), r)
     assert np.array_equal(z.ravel(), np.random.default_rng(6).standard_normal(z.size))
+
+
+def test_factor_keeps_only_the_numerical_rank():
+    # L_k(s) = sum_w e^{i w s} L_k^w spans a few real directions, one or two per Bohr
+    # frequency of L_k, whatever M is; the factor keeps those rows and drops the rounding.
+    cases = [(presets.single_spin_model(), presets.SINGLE_SPIN_DT, 8, 3),
+             (presets.two_molecule_model(), presets.TWO_MOLECULE_DT, 16, 5),
+             (presets.two_molecule_model(), presets.TWO_MOLECULE_DT, 256, 5)]
+    for model, dt, M, rank in cases:
+        plan = build_plan(model, dt, M=M)
+        assert plan.factors.shape[1] == rank
+        for sv in channel_singular_values(plan):
+            assert np.all(sv[rank:] <= noisegate.RANK_CUT * sv[0])
+
+    # No channel acts: no rows, no normals, and the run is the closed evolution.
+    model = LindbladModel(1, (HamiltonianTerm(1.0, X),), (LindbladTerm(0.0, Z, "Z"),))
+    assert build_plan(model, 0.1, M=8).factors.shape == (0, 0, 8)
+    closed = [np.real(u[:, 0].conj() @ Z @ u[:, 0])
+              for u in closed_propagator(model, 0.1 * np.arange(4))]
+    for mode in ("measure-reset", "partial-trace"):
+        result = run_ensemble(RunConfig(model=model, dt=0.1, n_steps=3, n_realizations=4,
+                                        mode=mode, observables=[("Z", Z)]))
+        assert_allclose(result.observable("Z")[0], closed, rtol=0, atol=1e-12)
 
 
 def test_exact_channel_builds_no_table(monkeypatch):
@@ -577,10 +615,11 @@ def test_zero_rate_channels_draw_no_noise():
     off = np.flatnonzero(plan.rates == 0.0)
     assert {model.lindblad_terms[k].label for k in off} >= {"ZX", "ZY"}
     k_active = len(plan.rates) - len(off)
-    assert plan.factors.shape == (k_active, 16, 32)
+    r = kept_rank(plan)
+    assert plan.factors.shape == (k_active, r, 32)
     rng = np.random.default_rng(8)
     noise = sample_noise(plan, rng, (8,))
-    assert noise.shape == (8, k_active, 16)
+    assert noise.shape == (8, k_active, r)
     # The factor never reads the rate-zero channels' rows of the table.
     poisoned = build_plan(model, presets.TWO_MOLECULE_DT, M=16)
     poisoned.l_nodes[off] = np.nan
