@@ -9,9 +9,10 @@ space with an ancilla reset, in one of two equivalent modes:
   re-append it as |0><0|.
 
 Since the ancilla always enters in |0>, a step needs only the gate's action
-on state x |0>: measure-reset applies it by a truncated Taylor series
-(`noisegate.gate_action`), partial-trace conjugates with the SVD-formed gate's
-ancilla-0 columns, a 2d x d isometry.  The run is described by
+on state x |0>, which both modes apply by a truncated Taylor series
+(`noisegate.gate_action`): measure-reset to the statevector, partial-trace to
+the d basis states e_j x |0>, whose images are the gate's ancilla-0 columns, a
+2d x d isometry that it conjugates with.  The run is described by
 `config.RunConfig`, which checks its fields and resolves the start state
 (`start_state`) on construction.
 
@@ -23,9 +24,10 @@ bit-identical across chunk sizes: the chunk size sets the order of the
 floating-point reduction.  Chunks are the unit of parallelism: a run
 starts min(threads, chunks, CPU count) worker threads, submits at most
 one chunk per worker ahead of the next chunk to fold, and folds in index
-order, so memory does not grow with the chunk count.  Standard errors come
-from centred sums of squares, merged pairwise across chunks, so they agree
-across chunk sizes to rounding even when the spread is tiny.
+order, so memory does not grow with the chunk count.  With one worker it
+starts no pool and runs the chunks in order on the calling thread.  Standard
+errors come from centred sums of squares, merged pairwise across chunks, so
+they agree across chunk sizes to rounding even when the spread is tiny.
 
 Noise: standard normals, one per row of `NoiseGatePlan.factors` for each channel
 that acts (`acting_rates`), that `noisegate` multiplies by the channel's factor.
@@ -56,7 +58,9 @@ from numpy.random import PCG64, Generator
 
 from . import linalg
 from .config import RunConfig
-from .noisegate import NoiseGatePlan, build_plan, gate_action, gates_from_increments, sample_noise
+from .noisegate import NoiseGatePlan, build_plan, gate_action, sample_noise
+# Off the run path, but perfbench/spans.py wraps it under this name.
+from .noisegate import gates_from_increments  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
 
@@ -222,8 +226,11 @@ def _run_chunk(config: RunConfig, plan: NoiseGatePlan, obs_stack: np.ndarray,
             state, outcome1 = measure_ancilla(gate_action(plan, noise, state), uni)
             stats.flips[j] += outcome1.sum()
         else:
-            # The ancilla enters in |0>, so only the gate's ancilla-0 columns act.
-            cols = gates_from_increments(plan, noise)[:, :, 0::2]
+            # The ancilla enters in |0>, so only the gate's (2d, d) ancilla-0 columns act: its
+            # action on each e_j x |0>, each trajectory's noise repeated over its d rows so that
+            # every Taylor term is one matvec per row of a flat (B d, d) stack.
+            cols = gate_action(plan, np.repeat(noise, d, axis=0), np.tile(np.eye(d), (B, 1)))
+            cols = cols.reshape(B, d, 2 * d).transpose(0, 2, 1)
             full = cols @ state @ cols.conj().transpose(0, 2, 1)
             # Ancilla outcome-1 weight before the trace, for the audit trail.
             stats.flips[j] += np.einsum("bii->b", full[:, 1::2, 1::2]).real.sum()
@@ -240,17 +247,22 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
 
     starts = range(0, config.n_realizations, config.chunk_size)
     workers = min(config.threads, len(starts), os.cpu_count() or 1)
+    chunks = (np.arange(i, min(i + config.chunk_size, config.n_realizations)) for i in starts)
     total = _new_stats(config, len(obs_stack))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # Up to `workers` chunks ahead of the fold: no worker idles, and memory stays bounded.
-        pending = deque()
-        for i in starts:
-            indices = np.arange(i, min(i + config.chunk_size, config.n_realizations))
-            pending.append(pool.submit(_run_chunk, config, plan, obs_stack, indices))
-            if len(pending) > workers:
-                total.add(pending.popleft().result())
-        for future in pending:
-            total.add(future.result())
+    if workers == 1:
+        # No pool to start and join: the chunks run in order on this thread.
+        for indices in chunks:
+            total.add(_run_chunk(config, plan, obs_stack, indices))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # Up to `workers` chunks ahead of the fold: no worker idles, and memory stays bounded.
+            pending = deque()
+            for indices in chunks:
+                pending.append(pool.submit(_run_chunk, config, plan, obs_stack, indices))
+                if len(pending) > workers:
+                    total.add(pending.popleft().result())
+            for future in pending:
+                total.add(future.result())
 
     n = total.count
     means = total.obs_sum / n

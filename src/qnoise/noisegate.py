@@ -32,9 +32,10 @@ A = W Sigma V^dag of each sampled block gives the exponential (`linalg.matexp_an
     [[V cos(Sigma) V^dag, -V sin(Sigma) W^dag],
      [W sin(Sigma) V^dag,  W cos(Sigma) W^dag]].
 
-partial-trace conjugates with this gate.  measure-reset never forms it:
-`gate_action` applies it to psi x |0> by a truncated Taylor series that scales
-the (..., d) ancilla halves, not the blocks, so it holds one channel's block at a time.
+The run path never forms it, in either mode: `gate_action` applies it to psi x |0>
+by a truncated Taylor series that scales the (..., d) ancilla halves, not the blocks,
+so it holds one channel's block at a time.  `gates_from_increments` forms it, as the
+reference that the tests compare `gate_action` and both run modes against.
 `expected_channel` evaluates the noise-average of the gate conjugation, ancilla traced
 out, as one deterministic d^2 x d^2 matrix (`linalg.dissipator_superop`) over the same
 nodes.  Under Trotterization it reads the table; in exact mode it builds none, and takes
@@ -174,7 +175,8 @@ def _channel_block(plan: NoiseGatePlan, noise: np.ndarray, k: int) -> np.ndarray
 
 def gates_from_increments(plan: NoiseGatePlan, noise: np.ndarray) -> np.ndarray:
     """The (..., 2d, 2d) stack of unitaries U(dt) * prod_k exp(sqrt(gamma_k) S_k), product
-    in ascending channel index, from noise drawn by `sample_noise`, shape (..., K_active, r)."""
+    in ascending channel index, from noise drawn by `sample_noise`, shape (..., K_active, r).
+    The formed-gate reference: the engine applies the gate by `gate_action` instead."""
     batch = np.shape(noise)[:-2]
     gate = np.broadcast_to(plan.u_full, batch + plan.u_full.shape).copy()
     for k in range(len(plan.factors)):

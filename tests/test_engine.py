@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from qnoise import engine, linalg, presets
+from qnoise import engine, linalg, noisegate, presets
 from qnoise.config import ConfigError
 from qnoise.engine import (
     RunConfig,
@@ -182,13 +182,16 @@ def test_mode_equivalence_paired_seeds():
     assert np.all(np.abs(a.means - b.means) <= 3 * comb + 1e-9)
 
 
-def test_determinism_across_thread_counts():
+@pytest.mark.parametrize("mode", ["measure-reset", "partial-trace"])
+def test_determinism_across_thread_counts(mode):
+    # Both modes cut each Taylor series at its chunk's largest norm, so a chunk's result
+    # must not depend on which thread runs it.
     model = presets.single_spin_model()
     outs = []
     for threads in (1, 4, 8):
         cfg = RunConfig(model=model, dt=1e-6, n_steps=4, n_realizations=96,
                         master_seed=77, observables=[("Z", Z)], record_rho=True,
-                        threads=threads, chunk_size=16)
+                        threads=threads, chunk_size=16, mode=mode)
         outs.append(run_ensemble(cfg))
     for other in outs[1:]:
         assert np.array_equal(outs[0].means, other.means)
@@ -232,30 +235,53 @@ def test_worker_count_is_bounded(monkeypatch, cpus, n_realizations, workers):
     running = threading.active_count()
     got = run_ensemble(cfg)
     assert threading.active_count() == running
-    assert SerialPool.requested == [workers]
+    # One worker runs the chunks on the calling thread, with no pool.
+    assert SerialPool.requested == ([workers] if workers > 1 else [])
     serial = run_ensemble(replace(cfg, threads=1))
     assert np.array_equal(got.means, serial.means)
     assert np.array_equal(got.stderrs, serial.stderrs)
 
 
-def test_measure_reset_matches_formed_gates():
-    # gamma*dt = 0.1, so ancilla flips occur and |A| passes 1 in one step (sub-steps).
-    cfg = RunConfig(model=presets.single_spin_model(), dt=1e-3, n_steps=6, n_realizations=64,
-                    master_seed=23, observables=[("Z", Z)], record_rho=True)
+@pytest.mark.parametrize("case", ["single-spin", "two-molecule"])
+@pytest.mark.parametrize("mode", ["measure-reset", "partial-trace"])
+def test_run_matches_formed_gates(mode, case):
+    # gamma*dt = 0.1 on the largest channel, so ancilla flips occur and |A| passes 1 in
+    # one step (sub-steps).
+    if case == "single-spin":
+        cfg = RunConfig(model=presets.single_spin_model(), dt=1e-3, n_steps=6, n_realizations=64,
+                        master_seed=23, observables=[("Z", Z)], record_rho=True, mode=mode)
+    else:
+        cfg = replace(two_molecule_config(n_steps=4, n_realizations=16, master_seed=29, m_nodes=16,
+                                          record_rho=True, mode=mode, initial_state=np.eye(4)[2]),
+                      dt=1 / 3)
     res = run_ensemble(cfg)
-    # Reference step: the SVD-formed gate's ancilla-0 columns on the engine's own noise.
+    # Reference step: the SVD-formed gate's ancilla-0 columns on the engine's own noise,
+    # applied and measured (measure-reset) or conjugated and traced (partial-trace).
     plan = build_plan(cfg.model, cfg.dt, cfg.trotter, cfg.m_nodes)
-    psi = np.broadcast_to(cfg.start_state, (64, 2)).astype(complex)
-    rhos, flips = [np.einsum("bi,bj->ij", psi, psi.conj()) / 64], []
-    for inc, uni in engine._step_noise(cfg, plan, np.arange(64)):
+    B, obs = cfg.n_realizations, cfg.observables[0][1]
+    state = np.broadcast_to(cfg.start_state, (B,) + cfg.start_state.shape).astype(complex)
+
+    def mean_rho(state):
+        rho = state if state.ndim == 3 else np.einsum("bi,bj->bij", state, state.conj())
+        return rho.sum(axis=0) / B
+
+    rhos, flips, norms = [mean_rho(state)], [], []
+    for inc, uni in engine._step_noise(cfg, plan, np.arange(B)):
+        norms += [np.linalg.norm(noisegate._channel_block(plan, inc, k), axis=(-2, -1)).max()
+                  for k in range(len(plan.factors))]
         cols = gates_from_increments(plan, inc)[:, :, 0::2]
-        psi, outcome1 = measure_ancilla(np.einsum("bij,bj->bi", cols, psi), uni)
-        rhos.append(np.einsum("bi,bj->ij", psi, psi.conj()) / 64)
-        flips.append(outcome1.mean())
+        if mode == "measure-reset":
+            state, outcome1 = measure_ancilla(np.einsum("bij,bj->bi", cols, state), uni)
+            flips.append(outcome1.mean())
+        else:
+            full = cols @ state @ cols.conj().transpose(0, 2, 1)
+            flips.append(np.einsum("bii->", full[:, 1::2, 1::2]).real / B)
+            state = full[:, 0::2, 0::2] + full[:, 1::2, 1::2]
+        rhos.append(mean_rho(state))
     rhos = np.array(rhos)
-    assert sum(flips) > 0
+    assert sum(flips) > 0 and max(norms) > 1
     assert_allclose(res.rho_mean, rhos, rtol=0, atol=1e-12)
-    assert_allclose(res.means[0], np.einsum("ij,sji->s", Z, rhos).real, rtol=0, atol=1e-12)
+    assert_allclose(res.means[0], np.einsum("ij,sji->s", obs, rhos).real, rtol=0, atol=1e-12)
     assert_allclose(res.flip_fraction, flips, rtol=0, atol=1e-12)
 
 
@@ -527,7 +553,10 @@ def test_chunk_memory_does_not_grow_with_chunk_count(monkeypatch, threads):
                                     f"{many / 2**20:.2f} MB at 64")
 
 
-def test_noise_memory_does_not_grow_with_steps():
+def test_noise_memory_does_not_grow_with_steps(monkeypatch):
+    # A 1 MiB block keeps the runs short, and a whole-run draw still shows: it would hold
+    # 4 MiB at n_long.  At 512 KiB the buffer stays under the plan's own peak, and would not.
+    monkeypatch.setattr(engine, "NOISE_BLOCK_BYTES", 1 << 20)
     n_realizations = 32
     probe = two_molecule_config(n_steps=1, n_realizations=n_realizations, m_nodes=256)
     plan = build_plan(probe.model, probe.dt, probe.trotter, probe.m_nodes)
