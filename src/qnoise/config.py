@@ -156,8 +156,13 @@ class RunConfig:
             key = "seed" if name == "master_seed" else name
             object.__setattr__(self, name,
                                SCHEMA["run"].keys[key].kind(getattr(self, name), f"run.{key}"))
-        d = self.model.dim
+        d, labels = self.model.dim, [label for label, _ in self.observables]
         for i, (label, op) in enumerate(self.observables):
+            at = f"run.observables[{i}].label"   # a CSV field, a quoted gnuplot string, a key
+            if not isinstance(label, str) or not label or any(c in label for c in ",\"'\r\n"):
+                _fail(at, "a non-empty string without , \" ' CR or LF", label)
+            if label in labels[:i]:
+                raise ConfigError(at, f"{label!r} repeats run.observables[{labels.index(label)}]")
             if np.shape(op) != (d, d) or not linalg.is_hermitian(np.asarray(op), 1e-10):
                 raise ConfigError(f"run.observables[{i}]",
                                   f"{label!r} is not a Hermitian {d}x{d} matrix")

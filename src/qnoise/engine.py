@@ -59,8 +59,7 @@ from numpy.random import PCG64, Generator
 from . import linalg
 from .config import RunConfig
 from .noisegate import NoiseGatePlan, build_plan, gate_action, sample_noise
-# Off the run path, but perfbench/spans.py wraps it under this name.
-from .noisegate import gates_from_increments  # noqa: F401
+from .noisegate import gates_from_increments  # noqa: F401  (perfbench/spans.py wraps it here)
 
 _MASK64 = (1 << 64) - 1
 
@@ -144,7 +143,7 @@ NOISE_BLOCK_BYTES = 4 << 20
 
 
 def _step_noise(config: RunConfig, plan: NoiseGatePlan, indices: np.ndarray):
-    """Yield each step's gate noise (B, K_active, r) and measurement uniforms (B,).
+    """Yield each step's gate noise (B, K, r) and measurement uniforms (B,).
 
     Every trajectory's two streams are read in order, one block of steps at
     a time, into one reused buffer, so the values equal a one-call draw.

@@ -10,7 +10,7 @@ path on an M-node left-endpoint grid s_r = r*dt/M.  The ancilla is the
 last tensor factor, so a full index decomposes as sys*2 + anc.
 
 The gates are assembled from one table of d x d interaction-picture
-operators L_k(s_r) = U(s_r)^dag L_k U(s_r), r = 0..M-1
+operators L_k(s_r) = U(s_r)^dag L_k U(s_r), r = 0..M-1, for the K channels that act
 (`NoiseGatePlan.l_nodes`, shape (K, M, d, d)), filled by two batched products
 over the M nodes, U(s_r)^dag [L_0 ... L_{K-1}] and then that times U(s_r), from
 one eigendecomposition of H (of each Hamiltonian term under
@@ -36,10 +36,10 @@ The run path never forms it, in either mode: `gate_action` applies it to psi x |
 by a truncated Taylor series that scales the (..., d) ancilla halves, not the blocks,
 so it holds one channel's block at a time.  `gates_from_increments` forms it, as the
 reference that the tests compare `gate_action` and both run modes against.
-`expected_channel` evaluates the noise-average of the gate conjugation, ancilla traced
-out, as one deterministic d^2 x d^2 matrix (`linalg.dissipator_superop`) over the same
-nodes.  Under Trotterization it reads the table; in exact mode it builds none, and takes
-each node's phases e^{i (E_a - E_b) s_r} from the Bohr frequencies of H instead.
+`expected_channel` evaluates the grid law's dissipator to first order in gamma dt, as one
+deterministic d^2 x d^2 matrix (`linalg.dissipator_superop`) over the same nodes.  Under
+Trotterization it reads the table; in exact mode it builds none, and takes each node's
+phases e^{i (E_a - E_b) s_r} from the Bohr frequencies of H instead.
 """
 from __future__ import annotations
 
@@ -89,11 +89,18 @@ def closed_propagator(model: LindbladModel, t, trotter: str = "exact") -> np.nda
     return u
 
 
-def _interaction_table(model: LindbladModel, props: np.ndarray) -> np.ndarray:
-    """L_k(s) = U(s)^dag L_k U(s) for every channel k and propagator U(s), shape (K, T, d, d),
-    C-contiguous, from two products per propagator whatever K is."""
-    d, K, T = model.dim, len(model.lindblad_terms), len(props)
-    ops = np.array([t.operator for t in model.lindblad_terms], dtype=complex).reshape(K, d, d)
+def _acting(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
+    """The (K,) rates, all > 0, and (K, d, d) operators of the channels that act
+    (`model.acting_rates`), in term order."""
+    rates = [rate for rate in model.acting_rates if rate]
+    ops = [t.operator for t, rate in zip(model.lindblad_terms, model.acting_rates) if rate]
+    return np.array(rates), np.array(ops, dtype=complex).reshape(-1, model.dim, model.dim)
+
+
+def _interaction_table(ops: np.ndarray, props: np.ndarray) -> np.ndarray:
+    """L_k(s) = U(s)^dag L_k U(s) for every operator L_k of the (K, d, d) stack and propagator
+    U(s), shape (K, T, d, d), C-contiguous, from two products per propagator whatever K is."""
+    (K, d, _), T = ops.shape, len(props)
     # Two buffers of the table's size, used in turn: U^dag [L_0 ... L_{K-1}] in `a`, its
     # K blocks restacked as a (K d, d) column in `b`, times U back in `a`, grouped by k in `b`.
     a = props.conj().swapaxes(-1, -2) @ ops.transpose(1, 0, 2).reshape(d, K * d)
@@ -108,32 +115,30 @@ def _interaction_table(model: LindbladModel, props: np.ndarray) -> np.ndarray:
 class NoiseGatePlan:
     """Per-step precomputation shared by all trajectories.
 
-    l_nodes[k, r] is the d x d operator L_k(s_r) at the left-endpoint
-    nodes s_r = r*dt/M, r = 0..M-1, which the sampler's factor and the
-    expected channel both read.
+    Row k of `rates`, `l_nodes`, `factors` and the noise is the k-th channel that acts.
+    l_nodes[k, r] is L_k(s_r) at the left-endpoint nodes s_r = r*dt/M, r = 0..M-1, which
+    the sampler's factor and the expected channel both read.
     """
 
     dt: float
     m_nodes: int                       # M
-    rates: np.ndarray                  # (K,) `model.acting_rates`: gamma_k, 0 if k does not act
+    rates: np.ndarray                  # (K,) gamma_k > 0 of the channels that act
     l_nodes: np.ndarray                # (K, M, d, d), C-contiguous
-    u_full: np.ndarray                 # kron(U(dt), I_2), shape (2d, 2d)
+    u: np.ndarray                      # U(dt), shape (d, d)
     system_dim: int
 
     @cached_property
     def factors(self) -> np.ndarray:
-        """F_k = sqrt(gamma_k dt/M) D Q^T of T_k = P D Q^T for each channel that acts
-        (nonzero in `rates`), ascending, shape (K_active, r, 2d^2): z F_k for r standard
-        normals z has A_k's law, to the rows dropped below RANK_CUT.  r is the largest count
-        of singular values above RANK_CUT times their channel's largest, 0 if no channel acts.
-        Computed on first use, so the expected channel never does."""
-        active = np.flatnonzero(self.rates)
-        d, M = self.system_dim, self.m_nodes
-        table = self.l_nodes[active].reshape(len(active), M, d * d).view(np.float64)
+        """F_k = sqrt(gamma_k dt/M) D Q^T of T_k = P D Q^T, shape (K, r, 2d^2): z F_k for r
+        standard normals z has A_k's law, to the rows dropped below RANK_CUT.  r is the largest
+        count of singular values above RANK_CUT times their channel's largest, 0 if no channel
+        acts.  Computed on first use, so the expected channel never does."""
+        K, M, d, _ = self.l_nodes.shape
+        table = self.l_nodes.reshape(K, M, d * d).view(np.float64)
         _, sv, vt = np.linalg.svd(table, full_matrices=False)
         # Rows come in descending order, so the largest numerical rank r is a prefix for all.
         r = int((sv > RANK_CUT * sv[:, :1]).sum(axis=1).max(initial=0))
-        scale = np.sqrt(self.rates[active] * self.dt / M)
+        scale = np.sqrt(self.rates * self.dt / M)
         return (scale[:, None] * sv[:, :r])[..., None] * vt[:, :r]
 
 
@@ -146,27 +151,21 @@ def _grid(dt: float, M: int) -> np.ndarray:
     return np.linspace(0.0, dt, M + 1)
 
 
-def build_plan(
-    model: LindbladModel, dt: float, trotter: str = "exact", M: int = 8
-) -> NoiseGatePlan:
+def build_plan(model: LindbladModel, dt: float, trotter: str = "exact",
+               M: int = 8) -> NoiseGatePlan:
     props = closed_propagator(model, _grid(dt, M), trotter)
-    return NoiseGatePlan(
-        dt=dt,
-        m_nodes=M,
-        rates=np.array(model.acting_rates),
-        l_nodes=_interaction_table(model, props[:M]),
-        u_full=np.kron(props[-1], np.eye(2)),
-        system_dim=model.dim,
-    )
+    rates, ops = _acting(model)
+    return NoiseGatePlan(dt=dt, m_nodes=M, rates=rates, l_nodes=_interaction_table(ops, props[:M]),
+                         u=props[-1], system_dim=model.dim)
 
 
 def sample_noise(plan: NoiseGatePlan, rng: np.random.Generator, size=()) -> np.ndarray:
-    """Standard normals of shape size + plan.factors.shape[:2], one row per active channel."""
+    """Standard normals of shape size + plan.factors.shape[:2], one row per channel."""
     return rng.standard_normal(tuple(size) + plan.factors.shape[:2])
 
 
 def _channel_block(plan: NoiseGatePlan, noise: np.ndarray, k: int) -> np.ndarray:
-    """A_k = z_k F_k, (..., d, d), for the k-th active channel in ascending order."""
+    """A_k = z_k F_k, (..., d, d), for the plan's channel k."""
     noise = np.asarray(noise, dtype=float)
     # Real GEMM of the (..., r) normals and the (r, 2d^2) factor, viewed as d x d complex.
     a = noise[..., k, :] @ plan.factors[k]
@@ -175,10 +174,10 @@ def _channel_block(plan: NoiseGatePlan, noise: np.ndarray, k: int) -> np.ndarray
 
 def gates_from_increments(plan: NoiseGatePlan, noise: np.ndarray) -> np.ndarray:
     """The (..., 2d, 2d) stack of unitaries U(dt) * prod_k exp(sqrt(gamma_k) S_k), product
-    in ascending channel index, from noise drawn by `sample_noise`, shape (..., K_active, r).
+    in ascending channel index, from noise drawn by `sample_noise`, shape (..., K, r).
     The formed-gate reference: the engine applies the gate by `gate_action` instead."""
-    batch = np.shape(noise)[:-2]
-    gate = np.broadcast_to(plan.u_full, batch + plan.u_full.shape).copy()
+    closed = np.kron(plan.u, np.eye(2))
+    gate = np.broadcast_to(closed, np.shape(noise)[:-2] + closed.shape).copy()
     for k in range(len(plan.factors)):
         gate = gate @ linalg.matexp_antihermitian(_channel_block(plan, noise, k))
     return gate
@@ -207,19 +206,19 @@ def gate_action(plan: NoiseGatePlan, noise: np.ndarray, psi: np.ndarray) -> np.n
                 x0 += t0
                 x1 += t1
     # U(dt) on the (..., d, 2) stack of halves, flattened to index sys*2 + anc.
-    out = plan.u_full[0::2, 0::2] @ np.stack((x0, x1), axis=-1)
+    out = plan.u @ np.stack((x0, x1), axis=-1)
     return out.reshape(x0.shape[:-1] + (2 * plan.system_dim,))
 
 
-def expected_channel(
-    model: LindbladModel, dt: float, trotter: str = "exact", M: int = 8
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Deterministic noise-average of the gate: rho -> U(rho + int D(s) rho ds) U^dag.
+def expected_channel(model: LindbladModel, dt: float, trotter: str = "exact",
+                     M: int = 8) -> Callable[[np.ndarray], np.ndarray]:
+    """The first-order channel of the grid law: rho -> U(rho + int D(s) rho ds) U^dag.
 
     The integral uses the same M-node left-endpoint grid whose law the sampler draws, so
-    the channel is exactly the mean of the sampled conjugations to O((gamma dt)^2).  It is
-    one d^2 x d^2 matrix on `linalg.vec`(rho), built once: (conj(U) x U)(I + D) for D the
-    `linalg.dissipator_superop` of the pieces B_p = sqrt(gamma_k dt/M) L_k(s_r), k active.
+    this is that law's dissipator to first order in gamma dt.  The mean of the sampled
+    conjugations differs from it at O((gamma dt)^2), the order of the scheme's own error.
+    It is one d^2 x d^2 matrix on `linalg.vec`(rho), built once: (conj(U) x U)(I + D) for D
+    the `linalg.dissipator_superop` of the pieces B_p = sqrt(gamma_k dt/M) L_k(s_r), k acting.
 
     In exact mode no table is built.  With H = V diag(E) V^dag, L_k(s) = V (phi(s) * L~_k) V^dag
     for L~_k = V^dag L_k V and phi(s)[a, b] = e^{i (E_a - E_b) s} (the Bohr-frequency
@@ -230,21 +229,17 @@ def expected_channel(
     d = model.dim
     if trotter == "exact":
         nodes = _grid(dt, M)[:M]
-        rates = np.array(model.acting_rates)
-        active = np.flatnonzero(rates)
+        rates, ops = _acting(model)
         e, v = np.linalg.eigh(total_hamiltonian(model))
-        ops = np.array([model.lindblad_terms[k].operator for k in active]).reshape(-1, d, d)
-        ops = v.conj().T @ ops @ v * np.sqrt(rates[active] * dt / M)[:, None, None]
+        ops = v.conj().T @ ops @ v * np.sqrt(rates * dt / M)[:, None, None]
         p = np.exp(1j * np.multiply.outer(nodes, e))
         w = np.kron(v.conj(), v)
         diss = w @ linalg.dissipator_superop(ops, p[:, :, None] * p.conj()[:, None, :]) @ w.conj().T
         u = closed_propagator(model, dt)
     else:
         plan = build_plan(model, dt, trotter, M)
-        active = np.flatnonzero(plan.rates)
-        pieces = plan.l_nodes[active]                    # advanced indexing: a copy
-        pieces *= np.sqrt(plan.rates[active] * dt / M)[:, None, None, None]
-        diss = linalg.dissipator_superop(pieces)
-        u = plan.u_full[0::2, 0::2]
+        scale = np.sqrt(plan.rates * dt / M)[:, None, None, None]
+        diss = linalg.dissipator_superop(plan.l_nodes * scale)
+        u = plan.u
     phi = np.kron(u.conj(), u) @ (np.eye(d * d) + diss)
     return lambda rho: linalg.unvec(phi @ linalg.vec(rho), d)

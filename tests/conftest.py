@@ -53,26 +53,25 @@ def coupling_operator(L_s):
 
 
 def grid_increments(plan, rng, size=()):
-    """Wiener increments dW_r ~ Normal(0, dt/M) on the plan's M-node grid, shape size + (K, M)."""
+    """Wiener increments dW_r ~ Normal(0, dt/M) on the plan's M-node grid, shape size + (K, M)
+    for the plan's K channels."""
     shape = tuple(size) + (len(plan.rates), plan.m_nodes)
     return rng.normal(0.0, np.sqrt(plan.dt / plan.m_nodes), size=shape)
 
 
 def noise_coordinates(plan, increments):
-    """The sampler's noise z, shape (..., K_active, r), whose blocks z_k F_k equal the grid
+    """The sampler's noise z, shape (..., K, r), whose blocks z_k F_k equal the grid
     integrals A_k = sqrt(gamma_k) sum_r L_k(s_r) dW_r of increments (..., K, M): the least-
     squares solution of z_k F_k = A_k, asserted to leave a zero residual."""
     increments = np.asarray(increments, dtype=float)
     batch = increments.shape[:-2]
     d = plan.system_dim
     z = np.empty(batch + plan.factors.shape[:2])
-    for i, k in enumerate(np.flatnonzero(plan.rates)):
-        a = np.sqrt(plan.rates[k]) * np.einsum("...r,rij->...ij", increments[..., k, :],
-                                               plan.l_nodes[k])
+    for k, (rate, table, f) in enumerate(zip(plan.rates, plan.l_nodes, plan.factors)):
+        a = np.sqrt(rate) * np.einsum("...r,rij->...ij", increments[..., k, :], table)
         a = np.ascontiguousarray(a).reshape(-1, d * d).view(np.float64)
-        f = plan.factors[i]
         z_k = np.linalg.lstsq(f.T, a.T, rcond=None)[0].T
         scale = max(1.0, np.max(np.abs(a), initial=0.0))
         assert np.max(np.abs(z_k @ f - a), initial=0.0) <= 1e-13 * scale
-        z[..., i, :] = z_k.reshape(batch + (-1,))
+        z[..., k, :] = z_k.reshape(batch + (-1,))
     return z

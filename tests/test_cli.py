@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -55,6 +56,22 @@ def test_simulate_writes_csv(tmp_path):
     assert header == ["step", "time", "observable_label", "mean", "stderr"]
     assert len(rows) == 6  # steps 0..5 for one observable
     assert (tmp_path / "result.gp").exists()
+
+
+def test_result_csv_reads_back_every_label(tmp_path):
+    # Each label is one CSV field and names one observable's rows.
+    observables = [{"label": "Z", "pauli": "Z"}, {"projector": "1"},
+                   {"label": "<X> (drive; axis)", "pauli": "X"}, {"pauli": "Y"}]
+    cfg = write_config(tmp_path, small_sim_config(extra_run={"observables": observables}))
+    main(["simulate", cfg, "--out-dir", str(tmp_path)])
+    with open(tmp_path / "result.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert all(len(row) == 5 and None not in row for row in rows)
+    labels = [row["observable_label"] for row in rows]
+    assert labels == [label for label in ("Z", "P1", "<X> (drive; axis)", "Y") for _ in range(6)]
+    for row in rows:
+        assert repr(float(row["mean"])) == row["mean"]
+        assert repr(float(row["stderr"])) == row["stderr"]
 
 
 def test_simulate_csv_roundtrip_full_precision(tmp_path):
@@ -400,6 +417,7 @@ NILPOTENT = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]   # [[0, 1], [0, 0]]: not Hermi
 EYE4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
 LOWER_1 = [[[float((i, j) in ((0, 1), (2, 3))), 0.0] for j in range(4)] for i in range(4)]
 ZZ = matrix_to_json(PauliString("ZZ").matrix())
+Z1 = matrix_to_json(PauliString("Z").matrix())
 
 
 # Each row: command, config key set on a small single-spin config, its
@@ -503,6 +521,23 @@ BAD_INPUT = [
                                 "run": {"dt": 1e-6, "n_steps": 30},
                                 "experiment": {"eps_target": 1e-308}},
                  r"experiment\.eps_target", id="bounds-experiment.eps_target=1e-308-30-steps"),
+    # A label is one CSV field and one quoted gnuplot string, and names one observable.
+    pytest.param("simulate", "run.observables", [{"label": "a,b", "pauli": "Z"}],
+                 r"run\.observables\[0\]\.label",
+                 id="simulate-run.observables[0].label-comma"),   # [mean read as "b"]
+    pytest.param("simulate", "run.observables", [{"label": "a\nb", "pauli": "Z"}],
+                 r"run\.observables\[0\]\.label",
+                 id="simulate-run.observables[0].label-newline"),  # [row split in two]
+    pytest.param("simulate", "run.observables",
+                 [{"label": "Z", "pauli": "Z"}, {"label": "Z", "pauli": "X"}],
+                 r"run\.observables\[1\]\.label(?=: 'Z' repeats run\.observables\[0\]$)",
+                 id="simulate-run.observables[1].label-repeated"),  # [rows indistinguishable]
+    pytest.param("simulate", "run.observables", [{"matrix": Z1}, {"matrix": Z1}],
+                 r"run\.observables\[1\]\.label",
+                 id="simulate-run.observables[1].label-both-obs"),  # [two "obs" rows]
+    pytest.param("sampling-error", "run.observables", [{"label": "it's", "pauli": "Z"}],
+                 r"run\.observables\[0\]\.label",
+                 id="sampling-error-run.observables[0].label-quote"),  # [broke sampling.gp]
 ]
 # pytest renames colliding ids (x0, x1, ...), so a new row must not reuse one.
 assert len({row.id for row in BAD_INPUT}) == len(BAD_INPUT)

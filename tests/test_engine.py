@@ -372,7 +372,16 @@ def test_run_config_rejects_bad_field(field, value):
     ({"initial_state": np.array([1.0, 0.0, 0.0])}, "initial_state"),
     ({"initial_state": np.array([2.0, 0.0])}, "initial_state"),
     ({"observables": [("Z", np.eye(4))]}, r"observables\[0\]"),
-], ids=["mixed-state-in-measure-reset", "trace-1.5", "shape-3", "norm-2", "observable-shape"])
+    ({"observables": [("a,b", Z)]}, r"observables\[0\]\.label"),
+    ({"observables": [("Z", Z), ("Z", X)]}, r"observables\[1\]\.label"),
+    ({"observables": [("say 'Z'", Z)]}, r"observables\[0\]\.label"),
+    ({"observables": [('say "Z"', Z)]}, r"observables\[0\]\.label"),
+    ({"observables": [("Z\r", Z)]}, r"observables\[0\]\.label"),
+    ({"observables": [("", Z)]}, r"observables\[0\]\.label"),
+    ({"observables": [(b"Z", Z)]}, r"observables\[0\]\.label"),
+], ids=["mixed-state-in-measure-reset", "trace-1.5", "shape-3", "norm-2", "observable-shape",
+        "label-comma", "label-repeated", "label-quote", "label-double-quote", "label-cr",
+        "label-empty", "label-bytes"])
 def test_run_config_checks_state_and_observables(bad, path):
     # Caught when the RunConfig is built, before any plan or chunk runs.
     with pytest.raises(ConfigError, match=rf"^run\.{path}: "):
@@ -435,7 +444,7 @@ def test_reset_zero_norm_branch_raises(rng):
 
 def bulk_noise_reference(config, plan, indices):
     """Each trajectory's noise and measurement streams drawn in one call: standard
-    normals (B, n_steps, K_active, r) and uniforms (B, n_steps)."""
+    normals (B, n_steps, K, r) and uniforms (B, n_steps)."""
     noise, uni = [], []
     for idx in indices:
         g_noise, g_meas = (
@@ -457,8 +466,9 @@ def test_streamed_noise_equals_bulk_draw(monkeypatch):
     plan = build_plan(cfg.model, cfg.dt, cfg.trotter, cfg.m_nodes)
     indices = np.arange(3, 27)
     noise_ref, uni_ref = bulk_noise_reference(cfg, plan, indices)
-    # ZX and ZY have rate zero; each active channel draws one normal per factor row.
-    assert noise_ref.shape == (24, 7, len(plan.rates) - 2, plan.factors.shape[1])
+    # ZX and ZY have rate zero, so the plan holds the other 13 channels; each draws one
+    # normal per factor row.
+    assert noise_ref.shape == (24, 7, 13, plan.factors.shape[1])
     step_bytes = len(indices) * math.prod(plan.factors.shape[:2]) * 8
     # One block; three steps per block with a short last block; one step per block.
     for budget in (engine.NOISE_BLOCK_BYTES, 3 * step_bytes, 1):

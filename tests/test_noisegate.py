@@ -111,14 +111,16 @@ def test_interaction_table_is_the_per_node_product(trotter):
     # Two products over all channels at once give exactly U(s)^dag L_k U(s) per (k, s).
     model, M = presets.two_molecule_model(), 256
     props = closed_propagator(model, np.linspace(0.0, presets.TWO_MOLECULE_DT, M + 1), trotter)[:M]
-    table = noisegate._interaction_table(model, props)
+    ops = np.array([term.operator for term in model.lindblad_terms])
+    table = noisegate._interaction_table(ops, props)
     direct = np.array([[u.conj().T @ term.operator @ u for u in props]
                        for term in model.lindblad_terms])
     assert table.flags.c_contiguous
     assert np.array_equal(table, direct)
+    # The plan tabulates the channels that act: all but ZX and ZY.
     plan = build_plan(model, presets.TWO_MOLECULE_DT, trotter, M)
     assert plan.l_nodes.flags.c_contiguous
-    assert np.array_equal(plan.l_nodes, direct)
+    assert np.array_equal(plan.l_nodes, direct[np.array(model.acting_rates) > 0])
 
 
 def test_interaction_table_without_dissipators():
@@ -149,7 +151,7 @@ def test_sample_Sk_anti_hermitian(rng):
 def test_sample_Sk_zero_increments_and_zero_mean(rng):
     plan = build_plan(driven_dephasing(), 0.01, M=8)
     gate = gates_from_increments(plan, np.zeros(plan.factors.shape[:2]))
-    assert_allclose(gate, plan.u_full, atol=1e-12)
+    assert_allclose(gate, np.kron(plan.u, np.eye(2)), atol=1e-12)
 
     # entry-wise mean of S over many draws is 0 within 4 standard errors
     n = 100_000
@@ -403,23 +405,26 @@ def test_gates_match_kronecker_reference(make_model, dt, M, trotter):
     plan = build_plan(model, dt, trotter, M)
     rng = np.random.default_rng(2024)
     K = len(model.lindblad_terms)
+    # The reference reads one row of increments per model term, the plan one per channel that
+    # acts: the plan's channel k must be the k-th term that acts.
+    acting = np.array(model.acting_rates) > 0
     # Wiener-scale increments, increments large enough to rotate by O(1),
     # and all-zero increments (the gate is then U(dt) alone).
     typical = rng.normal(0.0, np.sqrt(dt / M), size=(6, K, M))
     large = rng.normal(0.0, 3.0 / np.sqrt(M * max(plan.rates)), size=(4, K, M))
     zero = np.zeros((2, K, M))
     for inc in (typical, large, zero):
-        got = gates_from_increments(plan, noise_coordinates(plan, inc))
+        got = gates_from_increments(plan, noise_coordinates(plan, inc[:, acting]))
         assert_allclose(got, reference_gates(model, dt, trotter, M, inc), rtol=0, atol=1e-12)
-    for gate in gates_from_increments(plan, noise_coordinates(plan, zero)):
-        assert_allclose(gate, plan.u_full, atol=1e-14)
+    for gate in gates_from_increments(plan, noise_coordinates(plan, zero[:, acting])):
+        assert_allclose(gate, np.kron(plan.u, np.eye(2)), atol=1e-14)
 
 
 def channel_singular_values(plan):
-    """Descending singular values of each active channel's (M, 2d^2) real node table."""
+    """Descending singular values of each channel's (M, 2d^2) real node table."""
     M, d = plan.m_nodes, plan.system_dim
-    return [np.linalg.svd(plan.l_nodes[k].reshape(M, d * d).view(np.float64), compute_uv=False)
-            for k in np.flatnonzero(plan.rates)]
+    return [np.linalg.svd(table.reshape(M, d * d).view(np.float64), compute_uv=False)
+            for table in plan.l_nodes]
 
 
 def kept_rank(plan):
@@ -440,17 +445,16 @@ def test_factor_reproduces_grid_law(make_model, dt, M, trotter):
     # A_k = sqrt(gamma_k) T_k^T dW with dW ~ Normal(0, dt/M) has covariance
     # gamma_k (dt/M) T_k^T T_k; z F_k with z ~ Normal(0, I) has F_k^T F_k.
     plan = build_plan(make_model(), dt, trotter, M)
-    d = plan.system_dim
-    active = np.flatnonzero(plan.rates)
+    d, K = plan.system_dim, len(plan.rates)
     r = kept_rank(plan)
-    assert plan.factors.shape == (len(active), r, 2 * d * d)
-    for f, k in zip(plan.factors, active):
-        table = plan.l_nodes[k].reshape(M, d * d).view(np.float64)
-        cov = plan.rates[k] * dt / M * (table.T @ table)
+    assert plan.factors.shape == (K, r, 2 * d * d)
+    for f, rate, nodes in zip(plan.factors, plan.rates, plan.l_nodes):
+        table = nodes.reshape(M, d * d).view(np.float64)
+        cov = rate * dt / M * (table.T @ table)
         assert np.max(np.abs(f.T @ f - cov)) <= 1e-13 * np.max(np.abs(cov))
-    # Zero-rate channels have no factor row and draw nothing.
+    # Zero-rate channels have no row and draw nothing.
     z = sample_noise(plan, np.random.default_rng(6), (5,))
-    assert z.shape == (5, len(active), r)
+    assert z.shape == (5, K, r)
     assert np.array_equal(z.ravel(), np.random.default_rng(6).standard_normal(z.size))
 
 
@@ -604,26 +608,37 @@ def test_gate_action_zero_increments(make_model, dt, M):
     plan = build_plan(make_model(), dt, "exact", M)
     psi = random_states(np.random.default_rng(3), 4, plan.system_dim)
     got = gate_action(plan, noise_coordinates(plan, np.zeros((4, len(plan.rates), M))), psi)
-    u = plan.u_full[0::2, 0::2]
-    assert_allclose(got[:, 0::2], psi @ u.T, rtol=0, atol=1e-15)   # to complex-product rounding
+    assert_allclose(got[:, 0::2], psi @ plan.u.T, rtol=0, atol=1e-15)   # to product rounding
     assert np.array_equal(got[:, 1::2], np.zeros_like(psi))
 
 
 def test_zero_rate_channels_draw_no_noise():
-    model = presets.two_molecule_model()
-    plan = build_plan(model, presets.TWO_MOLECULE_DT, M=16)
-    off = np.flatnonzero(plan.rates == 0.0)
-    assert {model.lindblad_terms[k].label for k in off} >= {"ZX", "ZY"}
-    k_active = len(plan.rates) - len(off)
-    r = kept_rank(plan)
-    assert plan.factors.shape == (k_active, r, 32)
-    rng = np.random.default_rng(8)
-    noise = sample_noise(plan, rng, (8,))
-    assert noise.shape == (8, k_active, r)
-    # The factor never reads the rate-zero channels' rows of the table.
-    poisoned = build_plan(model, presets.TWO_MOLECULE_DT, M=16)
-    poisoned.l_nodes[off] = np.nan
-    assert np.array_equal(poisoned.factors, plan.factors)
+    # The plan and the expected channel hold only the channels that act.  Two-molecule's ZX and
+    # ZY have rate 0; a rate-0 term or an identity operator put in the middle of the terms
+    # shifts the later terms, yet every row, and the channel, equals the model without them.
+    base, dt = presets.two_molecule_model(), presets.TWO_MOLECULE_DT
+    assert [t.label for t, rate in zip(base.lindblad_terms, base.acting_rates) if not rate] == [
+        "ZX", "ZY"]
+    acting = tuple(t for t, rate in zip(base.lindblad_terms, base.acting_rates) if rate)
+
+    def with_terms(*extra):
+        return LindbladModel(2, base.hamiltonian_terms, acting[:6] + extra + acting[6:])
+
+    reference = with_terms()
+    variants = [base, with_terms(LindbladTerm(0.0, PauliString("XX").matrix(), "off")),
+                with_terms(LindbladTerm(0.3, np.eye(4), "identity"))]
+    rho = random_density(np.random.default_rng(8), 4)
+    for model in variants:
+        for trotter in noisegate.TROTTER_MODES:
+            want, got = (build_plan(m, dt, trotter, M=16) for m in (reference, model))
+            assert np.all(got.rates > 0)
+            for field in ("rates", "l_nodes", "factors"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (trotter, field)
+            assert np.array_equal(expected_channel(model, dt, trotter, 16)(rho),
+                                  expected_channel(reference, dt, trotter, 16)(rho)), trotter
+    # Each of the 13 channels that act draws one normal per factor row.
+    plan = build_plan(base, dt, M=16)
+    assert sample_noise(plan, np.random.default_rng(8), (8,)).shape == (8, 13, kept_rank(plan))
 
 
 @pytest.mark.parametrize("make_model,dt,M", ACTION_CASES)
