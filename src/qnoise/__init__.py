@@ -2,7 +2,7 @@
 
 from . import bounds, engine, linalg, model, noisegate, oracle, presets
 from .config import RunConfig, load_model
-from .engine import EnsembleResult, run_ensemble
+from .engine import EnsembleResult, run_ensemble, run_ensembles
 from .model import LindbladModel
 from .noisegate import NoiseGatePlan, build_plan, expected_channel
 from .oracle import evolve_exact, evolve_rk4, step_sa
@@ -27,5 +27,6 @@ __all__ = [
     "oracle",
     "presets",
     "run_ensemble",
+    "run_ensembles",
     "step_sa",
 ]

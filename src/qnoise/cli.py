@@ -27,7 +27,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import linalg, oracle
 from .config import Config, ConfigError, load, matrix_to_json
-from .engine import run_ensemble, trajectory_seed
+from .engine import run_ensemble, run_ensembles, trajectory_seed
 from .noisegate import expected_channel
 from .presets import PRESETS  # noqa: F401  (kept importable as qnoise.cli.PRESETS)
 
@@ -194,21 +194,16 @@ def cmd_sampling_error(cfg: Config, args) -> int:
     exact_rho = oracle.evolve_exact(cfg.model, rho0, config.dt * config.n_steps)
     exact_val = float(np.trace(op @ exact_rho).real)
 
+    # Every trial ensemble of the scan runs in one engine pass, packed into shared chunks.
+    base = dataclasses.replace(config, observables=[(label, op)], record_rho=False)
+    results = iter(run_ensembles([
+        dataclasses.replace(base, n_realizations=n_r,
+                            master_seed=trajectory_seed(config.master_seed, rep, 2 + n_r))
+        for n_r in n_r_values for rep in range(repetitions)]))
     rows = ["n_r,eta_mean,eta_std"]
     etas_by_nr = []
     for n_r in n_r_values:
-        etas = []
-        for rep in range(repetitions):
-            trial = dataclasses.replace(
-                config,
-                n_realizations=n_r,
-                master_seed=trajectory_seed(config.master_seed, rep, 2 + n_r),
-                observables=[(label, op)],
-                record_rho=False,
-            )
-            result = run_ensemble(trial)
-            etas.append(abs(result.means[0, -1] - exact_val))
-        etas = np.array(etas)
+        etas = np.array([abs(next(results).means[0, -1] - exact_val) for _ in range(repetitions)])
         etas_by_nr.append(etas)
         rows.append(f"{n_r},{_fmt(etas.mean())},{_fmt(etas.std(ddof=1) if len(etas) > 1 else 0.0)}")
 

@@ -21,13 +21,28 @@ streams from (master_seed, trajectory_index) via a splitmix64-style
 mixer, and aggregation reduces fixed-size chunks in index order, so the
 result is bit-identical for any worker-pool size.  It is not
 bit-identical across chunk sizes: the chunk size sets the order of the
-floating-point reduction.  Chunks are the unit of parallelism: a run
-starts min(threads, chunks, CPU count) worker threads, submits at most
-one chunk per worker ahead of the next chunk to fold, and folds in index
-order, so memory does not grow with the chunk count.  With one worker it
-starts no pool and runs the chunks in order on the calling thread.  Standard
-errors come from centred sums of squares, merged pairwise across chunks, so
-they agree across chunk sizes to rounding even when the spread is tiny.
+floating-point reduction.  Standard errors come from centred sums of
+squares, merged pairwise across chunks, so they agree across chunk sizes
+to rounding even when the spread is tiny.
+
+Packing: `run_ensembles` runs ensembles that differ only in master_seed and
+n_realizations as one run.  Each ensemble's chunks are the index ranges
+[i, i + chunk_size), and consecutive ones, across ensembles, are packed whole
+into engine chunks of at most chunk_size trajectories.  An engine chunk runs
+its trajectories as one batch, reduces each range on its own, and the run
+folds each range's sums into its ensemble, engine chunk by engine chunk in
+order, so every ensemble folds its chunks in index order.  A lone ensemble
+gets one range per engine chunk, so `run_ensemble` is that case.  Packed
+ranges share the batch's Taylor degree, so they equal separate runs only to
+rounding.
+
+Workers: engine chunks are the unit of parallelism.  A run uses
+min(threads, engine chunks, CPU count) workers, and the calling thread is
+one of them: with w >= 2 it hands w - 1 chunks to a pool of w - 1 threads,
+runs the next itself, then folds those w in order.  So at most w chunks are
+in flight, and memory does not grow with the chunk count.  Chunks are
+generated lazily, and one waits as its (master_seed, start, stop) ranges,
+not as index arrays.  With one worker there is no pool.
 
 Noise: standard normals, one per row of `NoiseGatePlan.factors` for each channel
 that acts (`acting_rates`), that `noisegate` multiplies by the channel's factor.
@@ -46,11 +61,12 @@ holds only each stream's state and increment, not a live Generator per stream.
 """
 from __future__ import annotations
 
+import itertools
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Optional, Sequence
 
 import numpy as np
 # numpy loads numpy.random lazily; naming it here loads it on import, not inside the first run.
@@ -58,6 +74,7 @@ from numpy.random import PCG64, Generator
 
 from . import linalg
 from .config import RunConfig
+from .model import LindbladModel
 from .noisegate import NoiseGatePlan, build_plan, gate_action, sample_noise
 from .noisegate import gates_from_increments  # noqa: F401  (perfbench/spans.py wraps it here)
 
@@ -142,22 +159,27 @@ class _ChunkStats:
 NOISE_BLOCK_BYTES = 4 << 20
 
 
-def _step_noise(config: RunConfig, plan: NoiseGatePlan, indices: np.ndarray):
-    """Yield each step's gate noise (B, K, r) and measurement uniforms (B,).
+def _step_noise(config: RunConfig, plan: NoiseGatePlan, pieces):
+    """Yield each step's gate noise (B, K, r) and measurement uniforms (B,), or None in
+    partial-trace, for the trajectories of `pieces`, (master_seed, start, stop) index ranges.
 
-    Every trajectory's two streams are read in order, one block of steps at
-    a time, into one reused buffer, so the values equal a one-call draw.
-    The yielded arrays are views that the next block overwrites.
+    Every trajectory's streams are read in order, one block of steps at a time, into one
+    reused buffer, so the values equal a one-call draw.  Partial-trace reads no uniforms,
+    so it draws none.  The yielded arrays are views that the next block overwrites.
     """
-    B, (K, r) = len(indices), plan.factors.shape[:2]
+    measure = config.mode == "measure-reset"
+    seeds = [np.concatenate([trajectory_seed(seed, np.arange(start, stop), s)
+                             for seed, start, stop in pieces])
+             for s in ((0, 1) if measure else (0,))]
+    B, (K, r) = len(seeds[0]), plan.factors.shape[:2]
     n_steps = config.n_steps
     block = min(n_steps, max(1, NOISE_BLOCK_BYTES // max(1, B * K * r * 8)))
     noise = np.empty((B, block, K, r))
-    uni = np.empty((B, block))
+    uni = np.empty((B, block)) if measure else None
 
     # One Generator per stream, pointed at each trajectory's PCG64 state in turn.  Its
     # draws take whole 64-bit outputs, so between blocks a stream needs only its state.
-    streams = [_stream_states(trajectory_seed(config.master_seed, indices, s)) for s in (0, 1)]
+    streams = [_stream_states(s) for s in seeds]
     gens = [Generator(PCG64(0)) for _ in streams]
     bits = [g.bit_generator for g in gens]
     for start in range(0, n_steps, block):
@@ -167,24 +189,29 @@ def _step_noise(config: RunConfig, plan: NoiseGatePlan, indices: np.ndarray):
                 bit.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                              "state": {"state": states[b], "inc": incs[b]}}
             noise[b, :nb] = sample_noise(plan, gens[0], (nb,))
-            uni[b, :nb] = gens[1].random(nb)
+            if measure:
+                uni[b, :nb] = gens[1].random(nb)
             if start + nb < n_steps:
                 for (states, _), bit in zip(streams, bits):
                     states[b] = bit.state["state"]["state"]
         for j in range(nb):
-            yield noise[:, j], uni[:, j]
+            yield noise[:, j], uni[:, j] if measure else None
 
 
-def _record(stats: _ChunkStats, step: int, obs_stack, state: np.ndarray):
-    """Add one step's (B, d) statevectors or (B, d, d) density matrices."""
+def _record(stats: list[_ChunkStats], slices: list[slice], step: int, obs_stack,
+            state: np.ndarray):
+    """Add one step's (B, d) statevectors or (B, d, d) density matrices, each slice of the
+    batch to its own sums."""
     rho = state if state.ndim == 3 else np.einsum("bi,bj->bij", state, state.conj())
     vals = np.einsum("oij,bji->ob", obs_stack, rho).real
-    total = vals.sum(axis=1)
-    stats.obs_sum[:, step] += total
-    # Two passes over the chunk's values of this step: centre, then square.
-    stats.obs_m2[:, step] += ((vals - (total / len(rho))[:, None]) ** 2).sum(axis=1)
-    if stats.rho_sum is not None:
-        stats.rho_sum[step] += rho.sum(axis=0)
+    for st, sl in zip(stats, slices):
+        v = vals[:, sl]
+        total = v.sum(axis=1)
+        st.obs_sum[:, step] += total
+        # Two passes over the slice's values of this step: centre, then square.
+        st.obs_m2[:, step] += ((v - (total / v.shape[1])[:, None]) ** 2).sum(axis=1)
+        if st.rho_sum is not None:
+            st.rho_sum[step] += rho[sl].sum(axis=0)
 
 
 def _new_stats(config: RunConfig, n_obs: int) -> _ChunkStats:
@@ -212,61 +239,130 @@ def measure_ancilla(full: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray,
 
 
 def _run_chunk(config: RunConfig, plan: NoiseGatePlan, obs_stack: np.ndarray,
-               indices: np.ndarray) -> _ChunkStats:
-    B = len(indices)
-    d = config.model.dim
-    stats = _new_stats(config, len(obs_stack))
-    stats.count = B
+               pieces) -> list[_ChunkStats]:
+    """Run the trajectories of `pieces`, (master_seed, start, stop) index ranges, as one
+    batch, and return each piece's sums."""
+    ends = list(itertools.accumulate(stop - start for _, start, stop in pieces))
+    slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+    stats = [_new_stats(config, len(obs_stack)) for _ in pieces]
+    for st, sl in zip(stats, slices):
+        st.count = sl.stop - sl.start
+    B, d = ends[-1], config.model.dim
     measure = config.mode == "measure-reset"
     state = np.broadcast_to(config.start_state, (B,) + config.start_state.shape).copy()
-    _record(stats, 0, obs_stack, state)
-    for j, (noise, uni) in enumerate(_step_noise(config, plan, indices)):
+    basis = None if measure else np.tile(np.eye(d), (B, 1))
+    _record(stats, slices, 0, obs_stack, state)
+    for j, (noise, uni) in enumerate(_step_noise(config, plan, pieces)):
         if measure:
-            state, outcome1 = measure_ancilla(gate_action(plan, noise, state), uni)
-            stats.flips[j] += outcome1.sum()
+            state, flips = measure_ancilla(gate_action(plan, noise, state), uni)
         else:
             # The ancilla enters in |0>, so only the gate's (2d, d) ancilla-0 columns act: its
             # action on each e_j x |0>, each trajectory's noise repeated over its d rows so that
             # every Taylor term is one matvec per row of a flat (B d, d) stack.
-            cols = gate_action(plan, np.repeat(noise, d, axis=0), np.tile(np.eye(d), (B, 1)))
+            cols = gate_action(plan, np.repeat(noise, d, axis=0), basis)
             cols = cols.reshape(B, d, 2 * d).transpose(0, 2, 1)
             full = cols @ state @ cols.conj().transpose(0, 2, 1)
             # Ancilla outcome-1 weight before the trace, for the audit trail.
-            stats.flips[j] += np.einsum("bii->b", full[:, 1::2, 1::2]).real.sum()
+            flips = np.einsum("bii->b", full[:, 1::2, 1::2]).real
             state = linalg.partial_trace_ancilla(full, d)
-        _record(stats, j + 1, obs_stack, state)
+        for st, sl in zip(stats, slices):
+            st.flips[j] += flips[sl].sum()
+        _record(stats, slices, j + 1, obs_stack, state)
     return stats
+
+
+def _packs(configs: list[RunConfig]):
+    """The engine chunks, lazily: each ensemble's chunks [i, i + chunk_size), in order,
+    packed whole into lists of (ensemble, (master_seed, start, stop)) of at most
+    chunk_size trajectories.  A lone ensemble gets one chunk per pack."""
+    size = configs[0].chunk_size
+    pack, held = [], 0
+    for e, config in enumerate(configs):
+        for start in range(0, config.n_realizations, size):
+            stop = min(start + size, config.n_realizations)
+            if held + stop - start > size:
+                yield pack
+                pack, held = [], 0
+            pack.append((e, (config.master_seed, start, stop)))
+            held += stop - start
+    if pack:
+        yield pack
+
+
+def _same(a, b) -> bool:
+    """Equal config field values: arrays elementwise, sequences item by item, and a model
+    only if it is the same object."""
+    if a is b:
+        return True
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.shape(a) == np.shape(b) and np.array_equal(a, b)
+    return not isinstance(a, LindbladModel) and a == b
 
 
 def run_ensemble(config: RunConfig) -> EnsembleResult:
     """Average Alg.-style trajectories over n_realizations realizations."""
-    plan = build_plan(config.model, config.dt, config.trotter, config.m_nodes)
-    d = config.model.dim
-    obs_stack = np.array([op for _, op in config.observables], dtype=complex).reshape(-1, d, d)
+    return run_ensembles([config])[0]
 
-    starts = range(0, config.n_realizations, config.chunk_size)
-    workers = min(config.threads, len(starts), os.cpu_count() or 1)
-    chunks = (np.arange(i, min(i + config.chunk_size, config.n_realizations)) for i in starts)
-    total = _new_stats(config, len(obs_stack))
+
+def run_ensembles(configs: Sequence[RunConfig]) -> list[EnsembleResult]:
+    """Run ensembles that differ only in master_seed and n_realizations (the same model
+    object, and equal values in every other field) through shared chunks, as one run.
+    Each result equals its `run_ensemble` up to rounding, and is bit-identical to it when
+    it is the only ensemble."""
+    configs = list(configs)
+    if not configs:
+        return []
+    first = configs[0]
+    for i, config in enumerate(configs[1:], 1):
+        for f in fields(RunConfig):
+            if (f.name not in ("master_seed", "n_realizations")
+                    and not _same(getattr(first, f.name), getattr(config, f.name))):
+                raise ValueError(f"configs[{i}].{f.name} differs from configs[0]: only "
+                                 "master_seed and n_realizations may differ")
+    plan = build_plan(first.model, first.dt, first.trotter, first.m_nodes)
+    d = first.model.dim
+    obs_stack = np.array([op for _, op in first.observables], dtype=complex).reshape(-1, d, d)
+    totals = [_new_stats(first, len(obs_stack)) for _ in configs]
+
+    def run(pack):
+        return _run_chunk(first, plan, obs_stack, [piece for _, piece in pack])
+
+    def fold(pack, chunk_stats):
+        for (e, _), stats in zip(pack, chunk_stats):
+            totals[e].add(stats)
+
+    cap = min(first.threads, os.cpu_count() or 1)
+    workers = sum(1 for _ in itertools.islice(_packs(configs), cap))
     if workers == 1:
         # No pool to start and join: the chunks run in order on this thread.
-        for indices in chunks:
-            total.add(_run_chunk(config, plan, obs_stack, indices))
+        for pack in _packs(configs):
+            fold(pack, run(pack))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # Up to `workers` chunks ahead of the fold: no worker idles, and memory stays bounded.
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            # The calling thread is the last worker: once workers - 1 chunks are on the
+            # pool it runs the next itself, then folds all of them in order.  So at most
+            # `workers` chunks are in flight, and memory stays bounded.
             pending = deque()
-            for indices in chunks:
-                pending.append(pool.submit(_run_chunk, config, plan, obs_stack, indices))
-                if len(pending) > workers:
-                    total.add(pending.popleft().result())
-            for future in pending:
-                total.add(future.result())
+            for pack in _packs(configs):
+                if len(pending) < workers - 1:
+                    pending.append((pack, pool.submit(run, pack)))
+                    continue
+                own = run(pack)
+                while pending:
+                    done, future = pending.popleft()
+                    fold(done, future.result())
+                fold(pack, own)
+            for done, future in pending:
+                fold(done, future.result())
+    return [_result(config, total) for config, total in zip(configs, totals)]
 
+
+def _result(config: RunConfig, total: _ChunkStats) -> EnsembleResult:
     n = total.count
     means = total.obs_sum / n
     stderrs = np.sqrt(total.obs_m2 / (n - 1) / n) if n > 1 else np.zeros_like(means)
-
     return EnsembleResult(
         times=np.arange(config.n_steps + 1) * config.dt,
         observable_labels=tuple(label for label, _ in config.observables),
@@ -278,4 +374,3 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
         master_seed=config.master_seed,
         mode=config.mode,
     )
-

@@ -256,6 +256,21 @@ def test_sampling_error_output(tmp_path):
     assert "slope" in (tmp_path / "sampling.csv").read_text()
 
 
+@pytest.mark.parametrize("mode", ["measure-reset", "partial-trace"])
+def test_sampling_error_thread_invariant(tmp_path, mode):
+    # Chunks of 32 pack the twelve trial ensembles into several shared chunks, and split
+    # the N_r = 64 ones across two.
+    doc = small_sim_config(extra_run={"mode": mode, "chunk_size": 32})
+    doc["experiment"] = {"n_r_values": [4, 16, 64], "repetitions": 4}
+    cfg = write_config(tmp_path, doc)
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["sampling-error", cfg, "--threads", threads, "--out-dir", str(out)]) == 0
+        written.append((out / "sampling.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_bounds_report(tmp_path):
     doc = {
         "model": {"preset": "single-spin"},

@@ -16,6 +16,7 @@ from qnoise.engine import (
     TrajectoryError,
     measure_ancilla,
     run_ensemble,
+    run_ensembles,
     trajectory_seed,
 )
 from qnoise.model import HamiltonianTerm, LindbladModel, LindbladTerm, PauliString
@@ -235,8 +236,8 @@ def test_worker_count_is_bounded(monkeypatch, cpus, n_realizations, workers):
     running = threading.active_count()
     got = run_ensemble(cfg)
     assert threading.active_count() == running
-    # One worker runs the chunks on the calling thread, with no pool.
-    assert SerialPool.requested == ([workers] if workers > 1 else [])
+    # The calling thread is one of the workers: a pool of the others, and none for one.
+    assert SerialPool.requested == ([workers - 1] if workers > 1 else [])
     serial = run_ensemble(replace(cfg, threads=1))
     assert np.array_equal(got.means, serial.means)
     assert np.array_equal(got.stderrs, serial.stderrs)
@@ -266,7 +267,7 @@ def test_run_matches_formed_gates(mode, case):
         return rho.sum(axis=0) / B
 
     rhos, flips, norms = [mean_rho(state)], [], []
-    for inc, uni in engine._step_noise(cfg, plan, np.arange(B)):
+    for inc, uni in engine._step_noise(cfg, plan, [(cfg.master_seed, 0, B)]):
         norms += [np.linalg.norm(noisegate._channel_block(plan, inc, k), axis=(-2, -1)).max()
                   for k in range(len(plan.factors))]
         cols = gates_from_increments(plan, inc)[:, :, 0::2]
@@ -473,7 +474,8 @@ def test_streamed_noise_equals_bulk_draw(monkeypatch):
     # One block; three steps per block with a short last block; one step per block.
     for budget in (engine.NOISE_BLOCK_BYTES, 3 * step_bytes, 1):
         monkeypatch.setattr(engine, "NOISE_BLOCK_BYTES", budget)
-        steps = [(z.copy(), uni.copy()) for z, uni in engine._step_noise(cfg, plan, indices)]
+        steps = [(z.copy(), uni.copy())
+                 for z, uni in engine._step_noise(cfg, plan, [(cfg.master_seed, 3, 27)])]
         assert np.array_equal(np.stack([z for z, _ in steps], axis=1), noise_ref)
         assert np.array_equal(np.stack([uni for _, uni in steps], axis=1), uni_ref)
 
@@ -487,6 +489,77 @@ def test_ensemble_independent_of_noise_block(monkeypatch, mode):
     one_step_blocks = run_ensemble(cfg)
     for field in ("means", "stderrs", "flip_fraction", "rho_mean"):
         assert np.array_equal(getattr(one_block, field), getattr(one_step_blocks, field)), field
+
+
+def test_partial_trace_draws_only_gate_noise():
+    # Partial-trace reads no measurement stream, so it draws none; its gate noise is
+    # measure-reset's, trajectory by trajectory.
+    pieces = [(5, 3, 11), (9, 0, 6)]
+    cfg = two_molecule_config(n_steps=5, n_realizations=11, m_nodes=16)
+    plan = build_plan(cfg.model, cfg.dt, cfg.trotter, cfg.m_nodes)
+    measured = [(z.copy(), uni.copy()) for z, uni in engine._step_noise(cfg, plan, pieces)]
+    traced = [(z.copy(), uni) for z, uni in
+              engine._step_noise(replace(cfg, mode="partial-trace"), plan, pieces)]
+    assert len(measured) == len(traced) == cfg.n_steps
+    for (z_m, _), (z_t, uni) in zip(measured, traced):
+        assert uni is None
+        assert np.array_equal(z_m, z_t)
+    # Each piece draws its trajectories' own streams.
+    noise_ref = np.concatenate([bulk_noise_reference(replace(cfg, master_seed=seed), plan,
+                                                     range(start, stop))[0]
+                                for seed, start, stop in pieces])
+    assert np.array_equal(np.stack([z for z, _ in traced], axis=1), noise_ref)
+
+
+def packed_trials(mode, **kw):
+    """Trial ensembles of N_r = 8, 32 and 128, two seeds each, as the sampling-error scan
+    builds them."""
+    base = RunConfig(model=presets.single_spin_model(), dt=1e-3, n_steps=4, mode=mode,
+                     observables=[("Z", Z), ("X", X)], **kw)
+    return [replace(base, n_realizations=n_r, master_seed=trajectory_seed(3, rep, 2 + n_r))
+            for n_r in (8, 32, 128) for rep in range(2)]
+
+
+@pytest.mark.parametrize("mode", ["measure-reset", "partial-trace"])
+def test_packed_ensembles_match_separate_runs(mode):
+    # gamma*dt = 0.1: the chunks flip ancillas, and their Taylor degrees can differ.
+    trials = packed_trials(mode)
+    packed = run_ensembles(trials)
+    assert len(packed) == len(trials)
+    for config, got in zip(trials, packed):
+        alone = run_ensemble(config)
+        assert got.n_realizations == config.n_realizations
+        assert got.master_seed == config.master_seed
+        assert_allclose(got.means, alone.means, rtol=0, atol=1e-12)
+        assert_allclose(got.stderrs, alone.stderrs, rtol=0, atol=1e-12)
+        if mode == "measure-reset":   # counted outcomes
+            assert np.array_equal(got.flip_fraction, alone.flip_fraction)
+        else:                         # Born weights, through the chunk's Taylor series
+            assert_allclose(got.flip_fraction, alone.flip_fraction, rtol=0, atol=1e-12)
+    assert max(r.flip_fraction.sum() for r in packed) > 0
+
+
+@pytest.mark.parametrize("mode", ["measure-reset", "partial-trace"])
+def test_packed_ensembles_thread_invariant(mode):
+    # Chunks of 48: several trials share a chunk, and each N_r = 128 one spans three.
+    one, two = (run_ensembles(packed_trials(mode, chunk_size=48, threads=t, record_rho=True))
+                for t in (1, 2))
+    for a, b in zip(one, two):
+        for field in ("means", "stderrs", "flip_fraction", "rho_mean"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+@pytest.mark.parametrize("field,value", [("dt", 2e-3), ("mode", "partial-trace"),
+                                         ("observables", [("Z", Z)])])
+def test_run_ensembles_rejects_other_differences(field, value):
+    trials = packed_trials("measure-reset")
+    trials[3] = replace(trials[3], **{field: value})
+    with pytest.raises(ValueError, match=rf"^configs\[3\]\.{field} differs"):
+        run_ensembles(trials)
+    # A model equal in value is still another object.
+    with pytest.raises(ValueError, match=r"^configs\[1\]\.model differs"):
+        run_ensembles([trials[0], replace(trials[1], model=presets.single_spin_model())])
+    assert run_ensembles([]) == []
 
 
 def test_stream_states_equal_scalar_splitmix64():
@@ -523,7 +596,7 @@ def test_held_stream_state_is_small(monkeypatch):
     cfg = RunConfig(model=presets.single_spin_model(), dt=presets.SINGLE_SPIN_DT, n_steps=3,
                     n_realizations=512)
     plan = build_plan(cfg.model, cfg.dt, cfg.trotter, cfg.m_nodes)
-    steps = engine._step_noise(cfg, plan, np.arange(cfg.chunk_size))
+    steps = engine._step_noise(cfg, plan, [(cfg.master_seed, 0, cfg.chunk_size)])
     tracemalloc.start()
     try:
         noise, uni = next(steps)
@@ -537,9 +610,10 @@ def test_held_stream_state_is_small(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_chunk_memory_does_not_grow_with_chunk_count(monkeypatch, threads):
     # The stand-in simulates nothing: the peak is the chunk sums held before they are folded.
-    def empty_chunk(config, plan, obs_stack, indices):
-        stats = engine._new_stats(config, len(obs_stack))
-        stats.count = len(indices)
+    def empty_chunk(config, plan, obs_stack, pieces):
+        stats = [engine._new_stats(config, len(obs_stack)) for _ in pieces]
+        for st, (_, start, stop) in zip(stats, pieces):
+            st.count = stop - start
         return stats
 
     monkeypatch.setattr(engine, "_run_chunk", empty_chunk)
@@ -555,8 +629,8 @@ def test_chunk_memory_does_not_grow_with_chunk_count(monkeypatch, threads):
         finally:
             tracemalloc.stop()
 
-    # Large per-step sums in small chunks; then large chunks, whose indices held for the
-    # whole run took 8 bytes per realization.
+    # Large per-step sums in small chunks; then large chunks, which wait in the queue as
+    # (master_seed, start, stop), not as index arrays of 8 bytes per realization.
     for case in [(1, 2000, True), (65536, 2, False)]:
         few, many = peak_bytes(8, *case), peak_bytes(64, *case)
         assert many <= 1.25 * few, (f"{case}: peak {few / 2**20:.2f} MB at 8 chunks, "
