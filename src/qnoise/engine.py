@@ -258,7 +258,7 @@ def _run_chunk(config: RunConfig, plan: NoiseGatePlan, obs_stack: np.ndarray,
         else:
             # The ancilla enters in |0>, so only the gate's (2d, d) ancilla-0 columns act: its
             # action on each e_j x |0>, each trajectory's noise repeated over its d rows so that
-            # every Taylor term is one matvec per row of a flat (B d, d) stack.
+            # every Taylor term is one einsum over the flat (2 B d, d) stack of both halves.
             cols = gate_action(plan, np.repeat(noise, d, axis=0), basis)
             cols = cols.reshape(B, d, 2 * d).transpose(0, 2, 1)
             full = cols @ state @ cols.conj().transpose(0, 2, 1)

@@ -34,8 +34,8 @@ A = W Sigma V^dag of each sampled block gives the exponential (`linalg.matexp_an
 
 The run path never forms it, in either mode: `gate_action` applies it to psi x |0>
 by a truncated Taylor series that scales the (..., d) ancilla halves, not the blocks,
-so it holds one channel's block at a time.  `gates_from_increments` forms it, as the
-reference that the tests compare `gate_action` and both run modes against.
+and holds one channel's [A; -A^dag; A] stack at a time.  `gates_from_increments` forms
+it, as the reference that the tests compare `gate_action` and both run modes against.
 `expected_channel` evaluates the grid law's dissipator to first order in gamma dt, as one
 deterministic d^2 x d^2 matrix (`linalg.dissipator_superop`) over the same nodes.  Under
 Trotterization it reads the table; in exact mode it builds none, and takes each node's
@@ -187,27 +187,51 @@ def gate_action(plan: NoiseGatePlan, noise: np.ndarray, psi: np.ndarray) -> np.n
     """gates_from_increments(plan, noise) @ (psi x |0>) for psi of shape (..., d),
     without forming a gate: each exp([[0, -A^dag], [A, 0]]) acts on the ancilla halves
     by its Taylor series in ceil(|A|) equal sub-steps when |A| > 1, for |A| the batch's
-    largest Frobenius norm, each cut at `linalg.taylor_degree`.  Result shape (..., 2d)."""
-    x0, x1 = np.array(psi, dtype=complex), np.zeros(np.shape(psi), dtype=complex)
-    # The gate is U E_0 ... E_{K-1}, so the last channel acts first.
-    for k in reversed(range(len(plan.factors))):
-        a = _channel_block(plan, noise, k)
-        norm = np.linalg.norm(a, axis=(-2, -1)).max(initial=0.0)
+    largest Frobenius norm, each cut at `linalg.taylor_degree`.  The n = psi.size / d pairs
+    of halves are one (2n, d) stack [x0; x1], so each term is one `einsum`, one scale and
+    one add.  Result shape (..., 2d)."""
+    (K, r, _), d = plan.factors.shape, plan.system_dim
+    batch = np.shape(psi)[:-1]
+    n = math.prod(batch)
+    noise = np.asarray(noise, dtype=float).reshape(n, K, r)
+    x = np.zeros((2 * n, d), dtype=complex)
+    x[:n] = np.reshape(psi, (n, d))
+    x0, x1, swapped = x[:n], x[n:], x.reshape(2, n, d)[::-1]
+    # One buffer for each channel's [A; -A^dag; A] in turn: odd terms map [t0; t1] by
+    # [A; -A^dag] to the next term's halves swapped, even terms map those back by [-A^dag; A].
+    ops = np.empty((3 * n, d, d), dtype=complex)
+    odd, even = ops[:2 * n], ops[n:]
+    a = ops[:n].reshape(n, d * d).view(float)   # A as (n, 2d^2) reals, z F_k written in place
+    # The gate is U E_0 ... E_{K-1}, so the last channel acts first, on x1 = 0.
+    for k in reversed(range(K)):
+        np.matmul(noise[:, k], plan.factors[k], out=a)
+        norm = math.sqrt((a[:, None] @ a[:, :, None]).max(initial=0.0))   # no block temporary
         steps = max(1, math.ceil(norm))
         degree = linalg.taylor_degree(norm / steps)
-        ah = a.conj().swapaxes(-1, -2)
-        for _ in range(steps):
-            t0, t1 = x0, x1
+        np.conjugate(ops[:n].swapaxes(-1, -2), out=even[:n])
+        np.negative(even[:n], out=even[:n])
+        if k == K - 1 and steps == 1:
+            # One half stays zero: term j is A t0 into x1 (j odd) or -A^dag t1 into x0.
+            t = x0
             for j in range(1, degree + 1):
-                # Term j maps (t0, t1) to (-A^dag t1, A t0) / (j steps), scaled in place.
-                t0, t1 = np.einsum("...ij,...j->...i", ah, t1), np.einsum("...ij,...j->...i", a, t0)
-                t0 *= -1.0 / (j * steps)
-                t1 *= 1.0 / (j * steps)
-                x0 += t0
-                x1 += t1
-    # U(dt) on the (..., d, 2) stack of halves, flattened to index sys*2 + anc.
+                t = np.einsum("...ij,...j->...i", odd[:n] if j % 2 else even[:n], t)
+                t *= 1.0 / j
+                half = x1 if j % 2 else x0
+                half += t
+            continue
+        ops[2 * n:] = ops[:n]
+        for _ in range(steps):
+            t = x
+            for j in range(1, degree + 1):
+                t = np.einsum("...ij,...j->...i", odd if j % 2 else even, t)
+                t *= 1.0 / (j * steps)
+                if j % 2:
+                    swapped += t.reshape(2, n, d)
+                else:
+                    x += t
+    # U(dt) on the (n, d, 2) stack of halves, flattened to index sys*2 + anc.
     out = plan.u @ np.stack((x0, x1), axis=-1)
-    return out.reshape(x0.shape[:-1] + (2 * plan.system_dim,))
+    return out.reshape(batch + (2 * d,))
 
 
 def expected_channel(model: LindbladModel, dt: float, trotter: str = "exact",

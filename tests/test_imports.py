@@ -1,5 +1,5 @@
-"""No stale imports in the package: every name a `src/qnoise` module imports is read
-in that module, unless its import line says why not with `# noqa: F401` and a reason.
+"""No stale imports: every name a `src/qnoise` module or a `tests` file imports is read
+in that file, unless its import line says why not with `# noqa: F401` and a reason.
 `__future__` imports and the re-exports of `__init__.py` are exempt.  The check parses
 the sources with `ast`, so it needs no linter.
 """
@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qnoise"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "qnoise"
+CHECKED = ([pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+           + [pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))])
 # `# noqa: F401` followed by a reason on the same line.
 KEPT = re.compile(r"#\s*noqa:\s*F401\b\s*\S")
 
@@ -31,8 +34,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"{line}: {name}" for name, line in bound.items() if name not in read]
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -654,6 +655,64 @@ def test_gate_action_sub_steps_at_large_norm(make_model, dt, M):
     got = gate_action(plan, noise, psi)
     assert_allclose(got, formed_action(plan, noise, psi), rtol=0, atol=1e-12)
     assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-14)
+
+
+def block_norms(plan, noise):
+    """Per channel, the batch's largest Frobenius norm of A_k = z_k F_k for noise (batch, K, r)."""
+    return np.linalg.norm(np.einsum("bkr,krc->bkc", noise, plan.factors), axis=-1).max(axis=0)
+
+
+@pytest.mark.parametrize("make_model,dt,M,first,rest", [
+    pytest.param(presets.single_spin_model, presets.SINGLE_SPIN_DT, 8, 2.5, 0.5,
+                 id="single-spin-first-above"),
+    pytest.param(presets.single_spin_model, presets.SINGLE_SPIN_DT, 8, 0.5, 2.5,
+                 id="single-spin-first-below"),
+    pytest.param(presets.two_molecule_model, presets.TWO_MOLECULE_DT, 16, 2.5, 0.5,
+                 id="two-molecule-first-above"),
+    pytest.param(presets.two_molecule_model, presets.TWO_MOLECULE_DT, 16, 0.5, 2.5,
+                 id="two-molecule-first-below"),
+    pytest.param(driven_dephasing, 0.1, 8, 0.5, 0.5, id="one-channel"),
+    pytest.param(driven_dephasing, 0.1, 8, 2.5, 2.5, id="one-channel-sub-steps"),
+])
+def test_gate_action_paths_agree_with_formed_gate(make_model, dt, M, first, rest):
+    # The first channel to act, plan row K-1, runs on the one non-zero half unless |A| > 1
+    # splits it into sub-steps; the rest run on the stacked halves.  Row K-1 is scaled to
+    # `first` and every other row to `rest`, so one call runs both paths, in either order
+    # of sizes; with one channel, one path alone makes the output.
+    plan = build_plan(make_model(), dt, "exact", M)
+    rng = np.random.default_rng(21)
+    noise = sample_noise(plan, rng, (32,))
+    target = np.full(len(plan.rates), rest)
+    target[-1] = first
+    noise *= (target / block_norms(plan, noise))[:, None]
+    assert_allclose(block_norms(plan, noise), target, rtol=1e-12)
+    d = plan.system_dim
+    # Measure-reset's (B, d) states, and partial-trace's (B d, d) stack of basis states with
+    # each trajectory's noise repeated over its d rows.
+    for z, states in [(noise, random_states(rng, 32, d)),
+                      (np.repeat(noise, d, axis=0), np.tile(np.eye(d), (32, 1)))]:
+        got = gate_action(plan, z, states)
+        assert_allclose(got, formed_action(plan, z, states), rtol=0, atol=1e-12)
+        assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1.0, 40.0])
+@pytest.mark.parametrize("make_model,dt,M", EQUIVALENCE_CASES[:2])
+def test_gate_action_runs_one_einsum_per_taylor_term(make_model, dt, M, scale, monkeypatch):
+    # Channel k's series runs `steps` sub-steps of `degree` terms, both read off |A_k|.
+    plan = build_plan(make_model(), dt, "exact", M)
+    rng = np.random.default_rng(9)
+    noise = scale * sample_noise(plan, rng, (16,))
+    psi = random_states(rng, 16, plan.system_dim)
+    terms = 0
+    for norm in block_norms(plan, noise):
+        steps = max(1, math.ceil(norm))
+        terms += steps * linalg.taylor_degree(norm / steps)
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args[0]) or einsum(*args))
+    gate_action(plan, noise, psi)
+    assert len(calls) == terms > 0
 
 
 def test_gate_action_empty_batch():
